@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "core/atuple.hpp"
 #include "core/payoff.hpp"
 #include "graph/generators.hpp"
@@ -82,6 +86,30 @@ TEST(Serialization, HandlesHeterogeneousAttackers) {
   EXPECT_DOUBLE_EQ(restored.attackers[1].prob(3), 0.75);
   EXPECT_DOUBLE_EQ(restored.attackers[1].prob(1), 0.25);
   EXPECT_DOUBLE_EQ(restored.attackers[0].prob(0), 1.0);
+}
+
+TEST(Serialization, GoldenSnapshotIsStable) {
+  // Hand-built so the pinned bytes do not move with A_tuple: 1/3 pins the
+  // 17-digit probabilities, attacker 1 a non-uniform support.
+  const TupleGame game = c6_game();
+  const MixedConfiguration config{
+      {VertexDistribution::uniform({0, 2, 4}),
+       VertexDistribution({1, 3}, {0.25, 0.75}), VertexDistribution({5}, {1.0})},
+      TupleDistribution::uniform({make_tuple(game, {0, 3}),
+                                  make_tuple(game, {1, 4}),
+                                  make_tuple(game, {2, 5})})};
+  const std::string path = std::string(DEFENDER_TEST_DATA_DIR) +
+                           "/configuration_v1.golden.txt";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream os;
+  os << in.rdbuf();
+  const std::string golden = os.str();
+
+  EXPECT_EQ(to_text(game, config), golden);
+  const Solved<MixedConfiguration> parsed = try_from_text(game, golden);
+  ASSERT_TRUE(parsed.ok()) << parsed.status.to_string();
+  EXPECT_EQ(to_text(game, parsed.result), golden);
 }
 
 }  // namespace

@@ -17,7 +17,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -103,14 +105,18 @@ TEST(NameAudit, SolverKindsRoundTripAndAreDistinct) {
 // ---------------------------------------------------------------------------
 // Fault-plan text format.
 
-TEST(FaultPlanText, RoundTripsBitExactly) {
+fault::FaultPlan sample_plan() {
   fault::FaultPlan plan;
   plan.seed = 0xDEADBEEFCAFE1234ULL;
   plan.rate_of(fault::FaultSite::kOracleAlloc) = 0.125;
   plan.rate_of(fault::FaultSite::kOracleGarble) = 1.0;
   plan.rate_of(fault::FaultSite::kLpPivotPerturb) = 0.123456789012345678;
   plan.rate_of(fault::FaultSite::kDeadlineStarve) = 1e-12;
+  return plan;
+}
 
+TEST(FaultPlanText, RoundTripsBitExactly) {
+  const fault::FaultPlan plan = sample_plan();
   const auto parsed = fault::FaultPlan::try_parse(plan.to_text());
   ASSERT_TRUE(parsed.ok()) << parsed.status.to_string();
   EXPECT_EQ(parsed.result.seed, plan.seed);
@@ -119,6 +125,21 @@ TEST(FaultPlanText, RoundTripsBitExactly) {
     EXPECT_EQ(parsed.result.rate_of(s), plan.rate_of(s))
         << fault::to_string(s);
   }
+}
+
+TEST(FaultPlanText, GoldenSnapshotIsStable) {
+  const std::string path =
+      std::string(DEFENDER_TEST_DATA_DIR) + "/fault_plan_v1.golden.txt";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream os;
+  os << in.rdbuf();
+  const std::string golden = os.str();
+
+  EXPECT_EQ(sample_plan().to_text(), golden);
+  const auto parsed = fault::FaultPlan::try_parse(golden);
+  ASSERT_TRUE(parsed.ok()) << parsed.status.to_string();
+  EXPECT_EQ(parsed.result.to_text(), golden);
 }
 
 TEST(FaultPlanText, RejectsHostileInputWithLineNumbers) {

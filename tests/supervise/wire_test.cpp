@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,6 +48,28 @@ JobFrame sample_job_frame() {
   plan.rate_of(fault::FaultSite::kWorkerCrash) = 0.5;
   frame.fault_plan_text = plan.to_text();
   return frame;
+}
+
+std::string read_golden(const std::string& name) {
+  const std::string path = std::string(DEFENDER_TEST_DATA_DIR) + "/" + name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+/// Pins a frame's bytes: the writer reproduces the committed golden, and
+/// the golden parses back into a frame that writes the same bytes again.
+template <typename Frame, typename Parse>
+void expect_golden(const Frame& frame, const std::string& name,
+                   Parse parse) {
+  const std::string golden = read_golden(name);
+  ASSERT_FALSE(golden.empty()) << name;
+  EXPECT_EQ(to_text(frame), golden) << name;
+  const auto parsed = parse(golden);
+  ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.status.to_string();
+  EXPECT_EQ(to_text(parsed.result), golden) << name;
 }
 
 TEST(Wire, JobFrameRoundTrips) {
@@ -126,7 +150,7 @@ TEST(Wire, JobFromFrameRejectsMalformedBoards) {
   EXPECT_EQ(job_from_frame(bad_plan, &out).code, StatusCode::kInvalidInput);
 }
 
-TEST(Wire, ResultFrameRoundTripsWithAttemptsAndMessage) {
+ResultFrame sample_result_frame() {
   ResultFrame frame;
   frame.job_index = 3;
   frame.dispatch = 1;
@@ -160,7 +184,11 @@ TEST(Wire, ResultFrameRoundTripsWithAttemptsAndMessage) {
   a.outcome = StatusCode::kOk;
   frame.result.attempts.push_back(a);
   frame.checkpoint_text = "line one\nline two\n";
+  return frame;
+}
 
+TEST(Wire, ResultFrameRoundTripsWithAttemptsAndMessage) {
+  const ResultFrame frame = sample_result_frame();
   const Solved<ResultFrame> parsed = try_parse_result_frame(to_text(frame));
   ASSERT_TRUE(parsed.ok()) << parsed.status.to_string();
   const engine::JobResult& got = parsed.result.result;
@@ -219,6 +247,36 @@ TEST(Wire, SmallFramesRoundTrip) {
   const Solved<HelloFrame> hello2 = try_parse_hello_frame(to_text(hello));
   ASSERT_TRUE(hello2.ok());
   EXPECT_EQ(hello2.result.pid, 31337);
+}
+
+TEST(WireGolden, JobFrameWithWeightsFaultPlanAndCheckpoint) {
+  JobFrame frame = sample_job_frame();
+  frame.checkpoint_text = read_golden("checkpoint_v1.golden.txt");
+  expect_golden(frame, "supervise_job_v1.golden.txt", try_parse_job_frame);
+}
+
+TEST(WireGolden, ResultFrameWithTwoAttemptsAndMessage) {
+  expect_golden(sample_result_frame(), "supervise_result_v1.golden.txt",
+                try_parse_result_frame);
+}
+
+TEST(WireGolden, SmallFrames) {
+  expect_golden(HeartbeatFrame{41}, "supervise_heartbeat_v1.golden.txt",
+                try_parse_heartbeat_frame);
+  CheckpointFrame cp;
+  cp.job_index = 9;
+  cp.dispatch = 4;
+  cp.checkpoint_text = read_golden("checkpoint_v1.golden.txt");
+  expect_golden(cp, "supervise_checkpoint_v1.golden.txt",
+                try_parse_checkpoint_frame);
+  CancelFrame cancel;
+  cancel.job_index = 1;
+  cancel.dispatch = 2;
+  cancel.reason = CancelReason::kWatchdog;
+  expect_golden(cancel, "supervise_cancel_v1.golden.txt",
+                try_parse_cancel_frame);
+  expect_golden(HelloFrame{31337}, "supervise_hello_v1.golden.txt",
+                try_parse_hello_frame);
 }
 
 TEST(Wire, FrameReaderReassemblesByteDribbles) {
