@@ -59,13 +59,12 @@
 //                     [--batch FILE] [--jobs N] [--retry-ladder SPEC]
 //                     [--cache FILE] [--cache-size N] [FILE]
 #include <algorithm>
-#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -98,6 +97,7 @@
 #include "supervise/worker.hpp"
 #include "util/assert.hpp"
 #include "util/json_writer.hpp"
+#include "util/record.hpp"
 
 namespace {
 
@@ -154,6 +154,11 @@ int fail_invalid(const std::string& message) {
   return 2;
 }
 
+/// Non-zero exit for a malformed numeric flag value.
+int bad_flag(const std::string& flag, const char* value) {
+  return fail_invalid("bad " + flag + " value '" + value + "'");
+}
+
 /// Non-zero exit for an already-structured status (io-error and friends).
 int fail_status(const defender::Status& status) {
   std::cerr << "defender_cli: " << status.to_string() << '\n';
@@ -183,22 +188,16 @@ struct BatchLine {
 /// a hostile file degrades to kInvalidInput, never to an OOM.
 constexpr std::size_t kMaxBatchJobs = 100'000;
 
+/// Caps on numeric flag and batch-file counts: --jobs sizes a thread or
+/// process pool, so it gets a tight one.
+constexpr std::uint64_t kMaxCountArg = 1'000'000'000;
+constexpr std::uint64_t kMaxWorkers = 1024;
+
 /// Line-numbered kInvalidInput, mirroring graph::try_parse_edge_list.
 defender::Status batch_error(std::size_t line, const std::string& what) {
   return defender::Status::make(
       defender::StatusCode::kInvalidInput,
       "batch file line " + std::to_string(line) + ": " + what);
-}
-
-/// Full-consumption unsigned parse (rejects "12x", "-1", overflow).
-bool parse_count(const std::string& token, std::size_t* out) {
-  if (token.empty() || token[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-  if (errno != 0 || end != token.c_str() + token.size()) return false;
-  *out = static_cast<std::size_t>(v);
-  return true;
 }
 
 /// Hardened parse of a --batch file. '#' starts a comment; blank lines are
@@ -232,26 +231,25 @@ defender::Solved<std::vector<BatchLine>> parse_batch_file(std::istream& in) {
           line_no, "expected '<solver> <k> <nu> <budget-iters> [tolerance]'");
       return out;
     }
-    if (!parse_count(k_tok, &job.k) || job.k == 0) {
+    using defender::util::parse_count;
+    if (!parse_count(k_tok, kMaxCountArg, &job.k) || job.k == 0) {
       out.status = batch_error(line_no, "bad k '" + k_tok + "'");
       return out;
     }
-    if (!parse_count(nu_tok, &job.nu) || job.nu == 0) {
+    if (!parse_count(nu_tok, kMaxCountArg, &job.nu) || job.nu == 0) {
       out.status = batch_error(line_no, "bad nu '" + nu_tok + "'");
       return out;
     }
-    if (!parse_count(iters_tok, &job.budget_iters) || job.budget_iters == 0) {
+    if (!parse_count(iters_tok, kMaxCountArg, &job.budget_iters) ||
+        job.budget_iters == 0) {
       out.status = batch_error(line_no,
                                "bad budget-iters '" + iters_tok + "'");
       return out;
     }
     std::string tol_tok;
     if (fields >> tol_tok) {
-      errno = 0;
-      char* end = nullptr;
-      job.tolerance = std::strtod(tol_tok.c_str(), &end);
-      if (errno != 0 || end != tol_tok.c_str() + tol_tok.size() ||
-          !(job.tolerance >= 0.0)) {
+      if (!defender::util::parse_finite(tol_tok, &job.tolerance) ||
+          job.tolerance < 0.0) {
         out.status = batch_error(line_no,
                                  "bad tolerance '" + tol_tok + "'");
         return out;
@@ -490,23 +488,31 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--k" && i + 1 < argc) {
-      k = std::strtoul(argv[++i], nullptr, 10);
+      if (!util::parse_count(argv[++i], kMaxCountArg, &k))
+        return bad_flag(arg, argv[i]);
     } else if (arg == "--nu" && i + 1 < argc) {
-      nu = std::strtoul(argv[++i], nullptr, 10);
+      if (!util::parse_count(argv[++i], kMaxCountArg, &nu) || nu == 0)
+        return bad_flag(arg, argv[i]);
     } else if (arg == "--budget-iters" && i + 1 < argc) {
-      budget.max_iterations = std::strtoul(argv[++i], nullptr, 10);
+      if (!util::parse_count(argv[++i], kMaxCountArg, &budget.max_iterations))
+        return bad_flag(arg, argv[i]);
     } else if (arg == "--deadline" && i + 1 < argc) {
-      budget.wall_clock_seconds = std::strtod(argv[++i], nullptr);
+      if (!util::parse_finite(argv[++i], &budget.wall_clock_seconds) ||
+          budget.wall_clock_seconds < 0)
+        return bad_flag(arg, argv[i]);
     } else if (arg == "--trace" && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (arg == "--chrome-trace" && i + 1 < argc) {
       chrome_trace_path = argv[++i];
     } else if (arg == "--fault-rate" && i + 1 < argc) {
-      fault_rate = std::strtod(argv[++i], nullptr);
-      if (!(fault_rate >= 0.0 && fault_rate <= 1.0))
+      if (!util::parse_finite(argv[++i], &fault_rate) ||
+          !(fault_rate >= 0.0 && fault_rate <= 1.0))
         return fail_invalid("--fault-rate must lie in [0, 1]");
     } else if (arg == "--fault-seed" && i + 1 < argc) {
-      fault_seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!util::parse_count(argv[++i],
+                             std::numeric_limits<std::uint64_t>::max(),
+                             &fault_seed))
+        return bad_flag(arg, argv[i]);
     } else if (arg == "--save-checkpoint" && i + 1 < argc) {
       save_checkpoint_path = argv[++i];
     } else if (arg == "--resume-checkpoint" && i + 1 < argc) {
@@ -514,14 +520,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--batch" && i + 1 < argc) {
       batch_path = argv[++i];
     } else if (arg == "--jobs" && i + 1 < argc) {
-      pool_workers = std::strtoul(argv[++i], nullptr, 10);
+      if (!util::parse_count(argv[++i], kMaxWorkers, &pool_workers))
+        return bad_flag(arg, argv[i]);
     } else if (arg == "--retry-ladder" && i + 1 < argc) {
       retry_spec = argv[++i];
     } else if (arg == "--cache" && i + 1 < argc) {
       cache_path = argv[++i];
     } else if (arg == "--cache-size" && i + 1 < argc) {
-      cache_capacity = std::strtoul(argv[++i], nullptr, 10);
-      if (cache_capacity == 0)
+      if (!util::parse_count(argv[++i], kMaxCountArg, &cache_capacity) ||
+          cache_capacity == 0)
         return fail_invalid("--cache-size must be positive");
     } else if (arg == "--connect" && i + 1 < argc) {
       connect_address = argv[++i];

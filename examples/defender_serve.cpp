@@ -45,7 +45,6 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -60,6 +59,7 @@
 #include "serve/server.hpp"
 #include "supervise/supervisor.hpp"
 #include "supervise/worker.hpp"
+#include "util/record.hpp"
 
 namespace {
 
@@ -110,12 +110,19 @@ void log_recovery(const char* what, const defender::io::LoadReport& report) {
               << '\n';
 }
 
-bool parse_count_arg(const char* arg, std::size_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(arg, &end, 10);
-  if (end == arg || *end != '\0') return false;
-  *out = static_cast<std::size_t>(v);
-  return true;
+/// Caps on numeric flag values: --jobs sizes a thread or process pool, so
+/// it gets a tight one.
+constexpr std::uint64_t kMaxCountArg = 1'000'000'000;
+constexpr std::uint64_t kMaxWorkers = 1024;
+
+/// Non-zero exit for a malformed numeric flag value.
+int bad_flag(const std::string& flag, const char* value) {
+  return fail("bad " + flag + " value '" + value + "'");
+}
+
+/// A finite double no less than `min`.
+bool parse_at_least(const char* arg, double min, double* out) {
+  return defender::util::parse_finite(arg, out) && *out >= min;
 }
 
 }  // namespace
@@ -147,57 +154,58 @@ int main(int argc, char** argv) {
       if (colon == std::string::npos || colon == 0)
         return fail("--tcp needs HOST:PORT, got " + spec);
       config.tcp_host = spec.substr(0, colon);
-      std::size_t port = 0;
-      if (!parse_count_arg(spec.c_str() + colon + 1, &port) || port > 65535)
+      if (!util::parse_count(spec.substr(colon + 1), 65535,
+                             &config.tcp_port))
         return fail("bad TCP port in " + spec);
-      config.tcp_port = static_cast<std::uint16_t>(port);
     } else if (arg == "--unix" && i + 1 < argc) {
       config.unix_path = argv[++i];
     } else if (arg == "--jobs" && i + 1 < argc) {
-      if (!parse_count_arg(argv[++i], &config.service.workers))
-        return fail("bad --jobs");
+      if (!util::parse_count(argv[++i], kMaxWorkers, &config.service.workers))
+        return bad_flag(arg, argv[i]);
     } else if (arg == "--queue-high" && i + 1 < argc) {
-      if (!parse_count_arg(argv[++i], &config.service.queue_high_watermark))
-        return fail("bad --queue-high");
+      if (!util::parse_count(argv[++i], kMaxCountArg,
+                             &config.service.queue_high_watermark))
+        return bad_flag(arg, argv[i]);
     } else if (arg == "--queue-low" && i + 1 < argc) {
-      if (!parse_count_arg(argv[++i], &config.service.queue_low_watermark))
-        return fail("bad --queue-low");
+      if (!util::parse_count(argv[++i], kMaxCountArg,
+                             &config.service.queue_low_watermark))
+        return bad_flag(arg, argv[i]);
     } else if (arg == "--rate" && i + 1 < argc) {
-      config.service.tokens_per_second = std::strtod(argv[++i], nullptr);
-      if (!(config.service.tokens_per_second >= 0))
-        return fail("--rate must be >= 0");
+      if (!parse_at_least(argv[++i], 0, &config.service.tokens_per_second))
+        return bad_flag(arg, argv[i]);
     } else if (arg == "--burst" && i + 1 < argc) {
-      config.service.token_burst = std::strtod(argv[++i], nullptr);
-      if (!(config.service.token_burst >= 1))
-        return fail("--burst must be >= 1");
+      if (!parse_at_least(argv[++i], 1, &config.service.token_burst))
+        return bad_flag(arg, argv[i]);
     } else if (arg == "--max-inflight" && i + 1 < argc) {
-      if (!parse_count_arg(argv[++i],
-                           &config.service.max_inflight_per_client))
-        return fail("bad --max-inflight");
+      if (!util::parse_count(argv[++i], kMaxCountArg,
+                             &config.service.max_inflight_per_client))
+        return bad_flag(arg, argv[i]);
     } else if (arg == "--retry-after-ms" && i + 1 < argc) {
-      config.service.retry_after_ms = std::strtod(argv[++i], nullptr);
+      if (!parse_at_least(argv[++i], 0, &config.service.retry_after_ms))
+        return bad_flag(arg, argv[i]);
     } else if (arg == "--drain-deadline" && i + 1 < argc) {
-      config.service.drain_deadline_seconds = std::strtod(argv[++i], nullptr);
-      if (!(config.service.drain_deadline_seconds >= 0))
-        return fail("--drain-deadline must be >= 0");
+      if (!parse_at_least(argv[++i], 0,
+                          &config.service.drain_deadline_seconds))
+        return bad_flag(arg, argv[i]);
     } else if (arg == "--max-budget-iters" && i + 1 < argc) {
-      if (!parse_count_arg(argv[++i],
-                           &config.service.max_budget_iterations))
-        return fail("bad --max-budget-iters");
+      if (!util::parse_count(argv[++i], kMaxCountArg,
+                             &config.service.max_budget_iterations))
+        return bad_flag(arg, argv[i]);
     } else if (arg == "--weight" && i + 1 < argc) {
       const std::string spec = argv[++i];
       const std::size_t eq = spec.find('=');
       if (eq == std::string::npos || eq == 0)
         return fail("--weight needs CLIENT=W, got " + spec);
-      const double w = std::strtod(spec.c_str() + eq + 1, nullptr);
-      if (!(w > 0)) return fail("--weight weight must be > 0");
+      double w = 0;
+      if (!util::parse_finite(spec.substr(eq + 1), &w) || !(w > 0))
+        return bad_flag(arg, argv[i]);
       config.service.client_weights[spec.substr(0, eq)] = w;
     } else if (arg == "--retry-ladder" && i + 1 < argc) {
       retry_spec = argv[++i];
     } else if (arg == "--cache" && i + 1 < argc) {
       cache_path = argv[++i];
     } else if (arg == "--cache-size" && i + 1 < argc) {
-      if (!parse_count_arg(argv[++i], &cache_capacity) ||
+      if (!util::parse_count(argv[++i], kMaxCountArg, &cache_capacity) ||
           cache_capacity == 0)
         return fail("--cache-size must be positive");
     } else if (arg == "--resume" && i + 1 < argc) {

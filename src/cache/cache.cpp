@@ -1,24 +1,15 @@
 #include "cache/cache.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <sstream>
 #include <utility>
+
+#include "util/record.hpp"
 
 namespace defender::cache {
 
 namespace {
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 std::uint64_t fnv1a(std::string_view s,
                     std::uint64_t h = 14695981039346656037ull) {
@@ -39,22 +30,15 @@ CacheKey build_key(std::size_t n, std::size_t m, std::size_t k,
                    std::size_t max_iterations, double wall_clock_seconds,
                    std::uint64_t oracle_node_budget) {
   CacheKey key;
-  std::ostringstream st;
-  st << "board " << n << ' ' << m << ' ' << k << ' ' << num_attackers << ' '
-     << (exact ? 1 : 0) << ' ' << solver_name << '\n';
-  st << "edges";
-  for (const graph::Edge& e : edges) st << ' ' << e.u << ' ' << e.v;
-  st << '\n';
-  st << "weights " << weights.size();
-  for (double w : weights) st << ' ' << format_double(w);
-  st << '\n';
-  key.structural = st.str();
-
-  std::ostringstream ps;
-  ps << "params " << format_double(tolerance) << ' ' << max_iterations << ' '
-     << format_double(wall_clock_seconds) << ' ' << oracle_node_budget
-     << '\n';
-  key.params = ps.str();
+  util::RecordWriter st;
+  st.line("board", n, m, k, num_attackers, exact, solver_name).open("edges");
+  for (const graph::Edge& e : edges) st.add(e.u, e.v);
+  st.close().list("weights", weights);
+  key.structural = st.take();
+  key.params = util::RecordWriter()
+                   .line("params", tolerance, max_iterations,
+                         wall_clock_seconds, oracle_node_budget)
+                   .take();
 
   key.hash = fnv1a(key.params, fnv1a(key.structural));
   return key;
@@ -74,46 +58,6 @@ bool finite_payload(const CachedSolve& e) {
     if (!std::isfinite(p)) return false;
   for (double p : e.attacker_probs)
     if (!std::isfinite(p)) return false;
-  return true;
-}
-
-Status parse_error(std::size_t line, const std::string& what) {
-  return Status::make(StatusCode::kInvalidInput,
-                      "cache line " + std::to_string(line) + ": " + what);
-}
-
-/// Range-checked non-negative count (checkpoint.cpp discipline).
-bool parse_count(const std::string& token, std::size_t cap,
-                 std::size_t* out) {
-  if (token.empty() || token[0] == '-') return false;
-  errno = 0;
-  char* rest = nullptr;
-  const unsigned long long v = std::strtoull(token.c_str(), &rest, 10);
-  if (errno != 0 || rest == token.c_str() || *rest != '\0') return false;
-  if (v > cap) return false;
-  *out = static_cast<std::size_t>(v);
-  return true;
-}
-
-bool parse_u64(const std::string& token, std::uint64_t* out) {
-  if (token.empty() || token[0] == '-') return false;
-  errno = 0;
-  char* rest = nullptr;
-  const unsigned long long v = std::strtoull(token.c_str(), &rest, 10);
-  if (errno != 0 || rest == token.c_str() || *rest != '\0') return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-bool parse_finite(const std::string& token, double* out) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* rest = nullptr;
-  const double v = std::strtod(token.c_str(), &rest);
-  if (errno != 0 || rest == token.c_str() || *rest != '\0' ||
-      !std::isfinite(v))
-    return false;
-  *out = v;
   return true;
 }
 
@@ -324,65 +268,108 @@ namespace {
 /// to_record_texts (one single-entry document per record) — the two MUST
 /// serialize an entry byte-identically or the durable store would not
 /// round-trip against merge_text.
-void append_entry_block(std::ostringstream& os, const CachedSolve& e) {
-  os << "entry\n";
-  os << "board " << e.n << ' ' << e.edges.size() << ' ' << e.k << ' '
-     << e.num_attackers << ' ' << (e.exact_form ? 1 : 0) << '\n';
-  os << "solver " << e.solver << '\n';
-  os << "params " << format_double(e.tolerance) << ' ' << e.max_iterations
-     << ' ' << format_double(e.wall_clock_seconds) << ' '
-     << e.oracle_node_budget << '\n';
-  os << "edges";
-  for (const graph::Edge& edge : e.edges)
-    os << ' ' << edge.u << ' ' << edge.v;
-  os << '\n';
-  os << "weights " << e.weights.size();
-  for (double w : e.weights) os << ' ' << format_double(w);
-  os << '\n';
-  os << "status " << e.iterations << ' ' << format_double(e.residual)
-     << '\n';
-  os << "message " << e.message << '\n';
-  os << "value " << format_double(e.value) << ' ' << format_double(e.lower)
-     << ' ' << format_double(e.upper) << '\n';
-  os << "attempt " << format_double(e.attempt_value) << ' '
-     << format_double(e.attempt_lower) << ' '
-     << format_double(e.attempt_upper) << '\n';
-  os << "profiles " << (e.has_profiles ? 1 : 0) << '\n';
+void append_entry_block(util::RecordWriter& w, const CachedSolve& e) {
+  w.line("entry")
+      .line("board", e.n, e.edges.size(), e.k, e.num_attackers, e.exact_form)
+      .line("solver", e.solver)
+      .line("params", e.tolerance, e.max_iterations, e.wall_clock_seconds,
+            e.oracle_node_budget)
+      .open("edges");
+  for (const graph::Edge& edge : e.edges) w.add(edge.u, edge.v);
+  w.close()
+      .list("weights", e.weights)
+      .line("status", e.iterations, e.residual)
+      .line("message", e.message)
+      .line("value", e.value, e.lower, e.upper)
+      .line("attempt", e.attempt_value, e.attempt_lower, e.attempt_upper)
+      .line("profiles", e.has_profiles);
   if (e.has_profiles) {
-    os << "defender " << e.defender_support.size();
-    for (double p : e.defender_probs) os << ' ' << format_double(p);
-    os << '\n';
-    for (const core::Tuple& t : e.defender_support) {
-      os << "tuple " << t.size();
-      for (graph::EdgeId edge : t) os << ' ' << edge;
-      os << '\n';
-    }
-    os << "attacker " << e.attacker_support.size();
+    w.open("defender", e.defender_support.size());
+    for (double p : e.defender_probs) w.add(p);
+    w.close();
+    for (const core::Tuple& t : e.defender_support) w.list("tuple", t);
+    w.open("attacker", e.attacker_support.size());
     for (std::size_t i = 0; i < e.attacker_support.size(); ++i)
-      os << ' ' << e.attacker_support[i] << ' '
-         << format_double(e.attacker_probs[i]);
-    os << '\n';
+      w.add(e.attacker_support[i], e.attacker_probs[i]);
+    w.close();
   }
-  std::size_t checkpoint_lines = 0;
-  for (char c : e.checkpoint_text)
-    if (c == '\n') ++checkpoint_lines;
-  os << "checkpoint " << checkpoint_lines << '\n';
-  os << e.checkpoint_text;
-  os << "end\n";
+  w.block("checkpoint", e.checkpoint_text).line("end");
+}
+
+/// Reads one "entry" ... "end" block written by append_entry_block.
+bool read_entry(util::RecordReader& r, CachedSolve& e) {
+  constexpr std::size_t kCap = kMaxCacheParseEntries;
+  constexpr std::size_t kMaxIters =
+      std::numeric_limits<std::size_t>::max() / 4;
+  std::size_t m = 0;
+  if (!(r.line("entry", "missing 'entry' marker") &&
+        r.line("board <n> <m> <k> <nu> <exact>") && r.count(&e.n, kCap) &&
+        r.count(&m, kCap) && r.count(&e.k, kCap) &&
+        r.count(&e.num_attackers, kCap) && r.flag(&e.exact_form) &&
+        r.line("solver <name>") && r.word(&e.solver) &&
+        r.line("params <tol> <iters> <wall> <nodes>") &&
+        r.number(&e.tolerance) && r.count(&e.max_iterations, kMaxIters) &&
+        r.number(&e.wall_clock_seconds) &&
+        r.count(&e.oracle_node_budget,
+                std::numeric_limits<std::uint64_t>::max()) &&
+        r.line("edges <u> <v> ...")))
+    return false;
+  e.edges.reserve(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    graph::Vertex u = 0, v = 0;
+    if (!r.count(&u, kCap) || !r.count(&v, kCap)) return false;
+    if (u >= v || v >= e.n) return r.fail("malformed canonical edge list");
+    e.edges.push_back(graph::Edge{u, v});
+  }
+  if (!(r.line("weights <count> <w...>") && r.list(&e.weights, kCap)))
+    return false;
+  if (!e.weights.empty() && e.weights.size() != e.n)
+    return r.fail("weights must be empty or one per vertex");
+  if (!(r.line("status <iterations> <residual>") &&
+        r.count(&e.iterations, kMaxIters) && r.number(&e.residual) &&
+        r.line("message <text>") && r.rest(&e.message) &&
+        r.line("value <v> <lower> <upper>") && r.number(&e.value) &&
+        r.number(&e.lower) && r.number(&e.upper) &&
+        r.line("attempt <v> <lower> <upper>") &&
+        r.number(&e.attempt_value) && r.number(&e.attempt_lower) &&
+        r.number(&e.attempt_upper) && r.line("profiles <0|1>") &&
+        r.flag(&e.has_profiles)))
+    return false;
+  if (e.has_profiles) {
+    std::size_t count = 0;
+    if (!(r.line("defender <count> <p...>") &&
+          r.list(&e.defender_probs, kCap)))
+      return false;
+    e.defender_support.resize(e.defender_probs.size());
+    for (core::Tuple& t : e.defender_support)
+      if (!(r.line("tuple <size> <edges...>", "truncated defender support") &&
+            r.list(&t, kCap)))
+        return false;
+    if (!(r.line("attacker <count> <v> <p> ...") && r.count(&count, kCap)))
+      return false;
+    for (std::size_t i = 0; i < count; ++i) {
+      graph::Vertex v = 0;
+      double p = 0;
+      if (!r.count(&v, kCap) || !r.number(&p)) return false;
+      e.attacker_support.push_back(v);
+      e.attacker_probs.push_back(p);
+    }
+  }
+  return r.block("checkpoint <line-count>", kCap, &e.checkpoint_text) &&
+         r.end();
 }
 
 }  // namespace
 
 std::string SolveCache::to_text() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream os;
-  os << "defender-cache v" << kCacheFormatVersion << '\n';
-  os << "entries " << lru_.size() << '\n';
+  util::RecordWriter w;
+  w.header("defender-cache", kCacheFormatVersion).line("entries", lru_.size());
   // Least recently used first: merge_text stores in file order, so the
   // last (most recent) entry ends up at the LRU front again.
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it)
-    append_entry_block(os, it->solve);
-  return os.str();
+    append_entry_block(w, it->solve);
+  return w.take();
 }
 
 std::vector<std::string> SolveCache::to_record_texts() const {
@@ -394,291 +381,28 @@ std::vector<std::string> SolveCache::to_record_texts() const {
   // costs the most recently used entries last-written, never the whole
   // store.
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    std::ostringstream os;
-    os << "defender-cache v" << kCacheFormatVersion << '\n';
-    os << "entries 1\n";
-    append_entry_block(os, it->solve);
-    records.push_back(os.str());
+    util::RecordWriter w;
+    w.header("defender-cache", kCacheFormatVersion).line("entries", 1);
+    append_entry_block(w, it->solve);
+    records.push_back(w.take());
   }
   return records;
 }
 
 Status SolveCache::merge_text(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  std::size_t line_no = 0;
-  const auto next_line = [&]() -> bool {
-    while (std::getline(is, line)) {
-      ++line_no;
-      bool blank = true;
-      for (char ch : line)
-        if (!std::isspace(static_cast<unsigned char>(ch))) blank = false;
-      if (!blank) return true;
-    }
-    return false;
-  };
-  // Raw read for verbatim checkpoint lines (no blank skipping: blank
-  // lines inside a checkpoint block would change its byte content).
-  const auto next_raw_line = [&]() -> bool {
-    if (!std::getline(is, line)) return false;
-    ++line_no;
-    return true;
-  };
-
-  if (!next_line()) return parse_error(1, "empty input");
-  if (line.rfind("defender-cache v", 0) != 0)
-    return parse_error(line_no, "missing 'defender-cache v1' header");
-  {
-    const std::string version_token =
-        line.substr(std::string("defender-cache v").size());
-    std::size_t version = 0;
-    if (!parse_count(version_token, 1'000'000, &version))
-      return parse_error(line_no, "malformed version: " + version_token);
-    if (version != kCacheFormatVersion)
-      return parse_error(line_no,
-                         "unsupported cache version " +
-                             std::to_string(version) + " (this build reads v" +
-                             std::to_string(kCacheFormatVersion) + ")");
-  }
-
-  if (!next_line()) return parse_error(line_no + 1, "missing 'entries' line");
+  util::RecordReader r(text, "cache");
   std::size_t declared = 0;
-  {
-    std::istringstream ls(line);
-    std::string key, count_token;
-    if (!(ls >> key >> count_token) || key != "entries" ||
-        !parse_count(count_token, kMaxCacheParseEntries, &declared))
-      return parse_error(line_no, "expected 'entries <count>'");
-  }
-
-  for (std::size_t entry_index = 0; entry_index < declared; ++entry_index) {
-    if (!next_line() || line != "entry")
-      return parse_error(line_no + 1, "missing 'entry' marker");
+  if (!(r.header("defender-cache", kCacheFormatVersion) &&
+        r.line("entries <count>") &&
+        r.count(&declared, kMaxCacheParseEntries)))
+    return r.status();
+  for (std::size_t i = 0; i < declared; ++i) {
     CachedSolve e;
-
-    // board <n> <m> <k> <nu> <exact>
-    std::size_t m = 0;
-    if (!next_line()) return parse_error(line_no + 1, "missing 'board' line");
-    {
-      std::istringstream ls(line);
-      std::string key, sn, sm, sk, snu, sex;
-      std::size_t exact = 0;
-      if (!(ls >> key >> sn >> sm >> sk >> snu >> sex) || key != "board" ||
-          !parse_count(sn, kMaxCacheParseEntries, &e.n) ||
-          !parse_count(sm, kMaxCacheParseEntries, &m) ||
-          !parse_count(sk, kMaxCacheParseEntries, &e.k) ||
-          !parse_count(snu, kMaxCacheParseEntries, &e.num_attackers) ||
-          !parse_count(sex, 1, &exact))
-        return parse_error(line_no,
-                           "expected 'board <n> <m> <k> <nu> <exact>'");
-      e.exact_form = exact != 0;
-    }
-
-    if (!next_line()) return parse_error(line_no + 1, "missing 'solver' line");
-    {
-      std::istringstream ls(line);
-      std::string key;
-      if (!(ls >> key >> e.solver) || key != "solver" || e.solver.empty())
-        return parse_error(line_no, "expected 'solver <name>'");
-    }
-
-    if (!next_line()) return parse_error(line_no + 1, "missing 'params' line");
-    {
-      std::istringstream ls(line);
-      std::string key, stol, sit, swall, snodes;
-      if (!(ls >> key >> stol >> sit >> swall >> snodes) || key != "params" ||
-          !parse_finite(stol, &e.tolerance) ||
-          !parse_count(sit, std::numeric_limits<std::size_t>::max() / 4,
-                       &e.max_iterations) ||
-          !parse_finite(swall, &e.wall_clock_seconds) ||
-          !parse_u64(snodes, &e.oracle_node_budget))
-        return parse_error(line_no,
-                           "expected 'params <tol> <iters> <wall> <nodes>'");
-    }
-
-    if (!next_line()) return parse_error(line_no + 1, "missing 'edges' line");
-    {
-      std::istringstream ls(line);
-      std::string key;
-      if (!(ls >> key) || key != "edges")
-        return parse_error(line_no, "expected 'edges <u> <v> ...'");
-      e.edges.reserve(m);
-      for (std::size_t i = 0; i < m; ++i) {
-        std::string su, sv;
-        std::size_t u = 0, v = 0;
-        if (!(ls >> su >> sv) || !parse_count(su, kMaxCacheParseEntries, &u) ||
-            !parse_count(sv, kMaxCacheParseEntries, &v) || u >= v ||
-            v >= e.n)
-          return parse_error(line_no, "malformed canonical edge list");
-        e.edges.push_back(
-            graph::Edge{static_cast<graph::Vertex>(u),
-                        static_cast<graph::Vertex>(v)});
-      }
-    }
-
-    if (!next_line())
-      return parse_error(line_no + 1, "missing 'weights' line");
-    {
-      std::istringstream ls(line);
-      std::string key, count_token;
-      std::size_t count = 0;
-      if (!(ls >> key >> count_token) || key != "weights" ||
-          !parse_count(count_token, kMaxCacheParseEntries, &count))
-        return parse_error(line_no, "expected 'weights <count> <w...>'");
-      if (count != 0 && count != e.n)
-        return parse_error(line_no,
-                           "weights must be empty or one per vertex");
-      e.weights.reserve(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        std::string w_token;
-        double w = 0;
-        if (!(ls >> w_token) || !parse_finite(w_token, &w))
-          return parse_error(line_no, "malformed weight list");
-        e.weights.push_back(w);
-      }
-    }
-
-    if (!next_line()) return parse_error(line_no + 1, "missing 'status' line");
-    {
-      std::istringstream ls(line);
-      std::string key, sit, sres;
-      if (!(ls >> key >> sit >> sres) || key != "status" ||
-          !parse_count(sit, std::numeric_limits<std::size_t>::max() / 4,
-                       &e.iterations) ||
-          !parse_finite(sres, &e.residual))
-        return parse_error(line_no,
-                           "expected 'status <iterations> <residual>'");
-    }
-
-    if (!next_line())
-      return parse_error(line_no + 1, "missing 'message' line");
-    if (line.rfind("message", 0) != 0)
-      return parse_error(line_no, "expected 'message <text>'");
-    e.message = line.size() > 8 ? line.substr(8) : std::string();
-
-    const auto read_triplet = [&](const char* name, double* a, double* b,
-                                  double* c) -> bool {
-      if (!next_line()) return false;
-      std::istringstream ls(line);
-      std::string key, sa, sb, sc;
-      return (ls >> key >> sa >> sb >> sc) && key == name &&
-             parse_finite(sa, a) && parse_finite(sb, b) &&
-             parse_finite(sc, c);
-    };
-    if (!read_triplet("value", &e.value, &e.lower, &e.upper))
-      return parse_error(line_no, "expected 'value <v> <lower> <upper>'");
-    if (!read_triplet("attempt", &e.attempt_value, &e.attempt_lower,
-                      &e.attempt_upper))
-      return parse_error(line_no, "expected 'attempt <v> <lower> <upper>'");
-
-    if (!next_line())
-      return parse_error(line_no + 1, "missing 'profiles' line");
-    {
-      std::istringstream ls(line);
-      std::string key, flag_token;
-      std::size_t flag = 0;
-      if (!(ls >> key >> flag_token) || key != "profiles" ||
-          !parse_count(flag_token, 1, &flag))
-        return parse_error(line_no, "expected 'profiles <0|1>'");
-      e.has_profiles = flag != 0;
-    }
-
-    if (e.has_profiles) {
-      std::size_t defender_count = 0;
-      if (!next_line())
-        return parse_error(line_no + 1, "missing 'defender' line");
-      {
-        std::istringstream ls(line);
-        std::string key, count_token;
-        if (!(ls >> key >> count_token) || key != "defender" ||
-            !parse_count(count_token, kMaxCacheParseEntries, &defender_count))
-          return parse_error(line_no, "expected 'defender <count> <p...>'");
-        e.defender_probs.reserve(defender_count);
-        for (std::size_t i = 0; i < defender_count; ++i) {
-          std::string p_token;
-          double p = 0;
-          if (!(ls >> p_token) || !parse_finite(p_token, &p))
-            return parse_error(line_no, "malformed defender probabilities");
-          e.defender_probs.push_back(p);
-        }
-      }
-      e.defender_support.reserve(defender_count);
-      for (std::size_t i = 0; i < defender_count; ++i) {
-        if (!next_line())
-          return parse_error(line_no + 1, "truncated defender support");
-        std::istringstream ts(line);
-        std::string key, size_token;
-        std::size_t size = 0;
-        if (!(ts >> key >> size_token) || key != "tuple" ||
-            !parse_count(size_token, kMaxCacheParseEntries, &size))
-          return parse_error(line_no, "expected 'tuple <size> <edges...>'");
-        core::Tuple t;
-        t.reserve(size);
-        for (std::size_t j = 0; j < size; ++j) {
-          std::string edge_token;
-          std::size_t edge = 0;
-          if (!(ts >> edge_token) ||
-              !parse_count(edge_token, kMaxCacheParseEntries, &edge))
-            return parse_error(line_no, "malformed tuple edge list");
-          t.push_back(static_cast<graph::EdgeId>(edge));
-        }
-        e.defender_support.push_back(std::move(t));
-      }
-
-      if (!next_line())
-        return parse_error(line_no + 1, "missing 'attacker' line");
-      {
-        std::istringstream ls(line);
-        std::string key, count_token;
-        std::size_t count = 0;
-        if (!(ls >> key >> count_token) || key != "attacker" ||
-            !parse_count(count_token, kMaxCacheParseEntries, &count))
-          return parse_error(line_no,
-                             "expected 'attacker <count> <v> <p> ...'");
-        e.attacker_support.reserve(count);
-        e.attacker_probs.reserve(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          std::string v_token, p_token;
-          std::size_t v = 0;
-          double p = 0;
-          if (!(ls >> v_token >> p_token) ||
-              !parse_count(v_token, kMaxCacheParseEntries, &v) ||
-              !parse_finite(p_token, &p))
-            return parse_error(line_no, "malformed attacker support");
-          e.attacker_support.push_back(static_cast<graph::Vertex>(v));
-          e.attacker_probs.push_back(p);
-        }
-      }
-    }
-
-    if (!next_line())
-      return parse_error(line_no + 1, "missing 'checkpoint' line");
-    {
-      std::istringstream ls(line);
-      std::string key, count_token;
-      std::size_t checkpoint_lines = 0;
-      if (!(ls >> key >> count_token) || key != "checkpoint" ||
-          !parse_count(count_token, kMaxCacheParseEntries,
-                       &checkpoint_lines))
-        return parse_error(line_no, "expected 'checkpoint <line-count>'");
-      for (std::size_t i = 0; i < checkpoint_lines; ++i) {
-        if (!next_raw_line())
-          return parse_error(line_no + 1, "truncated checkpoint block");
-        e.checkpoint_text += line;
-        e.checkpoint_text += '\n';
-      }
-    }
-
-    if (!next_line() || line != "end")
-      return parse_error(line_no + 1, "missing 'end' trailer");
-
-    if (!finite_payload(e))
-      return parse_error(line_no, "non-finite entry payload");
+    if (!read_entry(r, e)) return r.status();
     const CacheKey key = key_from_entry(e);
     std::lock_guard<std::mutex> lock(mu_);
     store_locked(key, std::move(e));
   }
-
   return Status::make_ok();
 }
 

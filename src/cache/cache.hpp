@@ -31,10 +31,10 @@
 // stored solver checkpoint via warm_checkpoint() and resume through the
 // *_resumable entry points instead of starting cold.
 //
-// The persistent text store ("defender-cache v1") follows the
-// checkpoint_v1 discipline: line-oriented, %.17g doubles for bit-exact
-// round-trips, hardened parsing (range-checked counts, allocation caps,
-// kInvalidInput with a 1-based line number, versions != 1 rejected).
+// The persistent text store ("defender-cache v1", docs/FORMATS.md) is
+// written and read through the shared record codec (util/record.hpp):
+// bit-exact doubles, capped counts, kInvalidInput with a 1-based line
+// number, versions != 1 rejected.
 //
 // Thread safety: all members are safe to call concurrently; the engine's
 // workers share one SolveCache.
@@ -242,8 +242,8 @@ class SolveCache {
 };
 
 /// Rebuilds a CacheKey from a stored entry's key components — the exact
-/// same text make_key derives at probe time (%.17g round-trips make this
-/// bit-stable across save/load).
+/// same text make_key derives at probe time (bit-exact double round-trips
+/// make this stable across save/load).
 CacheKey key_from_entry(const CachedSolve& entry);
 
 /// Envelope format tag for cache-store artifacts on disk.

@@ -1,61 +1,12 @@
 #include "core/checkpoint.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <limits>
+
+#include "util/record.hpp"
 
 namespace defender::core {
 
-namespace {
-
-Solved<SolverCheckpoint> parse_error(std::size_t line,
-                                     const std::string& what) {
-  Solved<SolverCheckpoint> out;
-  out.status = Status::make(
-      StatusCode::kInvalidInput,
-      "checkpoint line " + std::to_string(line) + ": " + what);
-  return out;
-}
-
-/// Range-checked non-negative count, capped so a hostile header cannot
-/// balloon pre-allocation.
-bool parse_count(const std::string& token, std::size_t cap,
-                 std::size_t* out) {
-  if (token.empty() || token[0] == '-') return false;
-  errno = 0;
-  char* rest = nullptr;
-  const unsigned long long v = std::strtoull(token.c_str(), &rest, 10);
-  if (errno != 0 || rest == token.c_str() || *rest != '\0') return false;
-  if (v > cap) return false;
-  *out = static_cast<std::size_t>(v);
-  return true;
-}
-
-/// Finite double.
-bool parse_finite(const std::string& token, double* out) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* rest = nullptr;
-  const double v = std::strtod(token.c_str(), &rest);
-  if (errno != 0 || rest == token.c_str() || *rest != '\0' ||
-      !std::isfinite(v))
-    return false;
-  *out = v;
-  return true;
-}
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
-
-bool try_parse_solver_kind(const std::string& name, SolverKind* out) {
+bool try_parse_solver_kind(std::string_view name, SolverKind* out) {
   for (SolverKind kind : kAllSolverKinds) {
     if (name == to_string(kind)) {
       if (out != nullptr) *out = kind;
@@ -66,213 +17,59 @@ bool try_parse_solver_kind(const std::string& name, SolverKind* out) {
 }
 
 std::string to_text(const SolverCheckpoint& cp) {
-  std::ostringstream os;
-  os << "defender-checkpoint v" << cp.version << '\n';
-  os << "solver " << to_string(cp.solver) << '\n';
-  os << "game " << cp.n << ' ' << cp.m << ' ' << cp.k << '\n';
-  os << "progress " << cp.iterations << ' ' << cp.horizon << ' '
-     << cp.next_checkpoint << ' ' << (cp.any_truncated ? 1 : 0) << '\n';
-  os << "bracket " << format_double(cp.best_lower) << ' '
-     << format_double(cp.best_upper) << '\n';
-  os << "tuples " << cp.tuples.size() << '\n';
-  for (const Tuple& t : cp.tuples) {
-    os << "tuple " << t.size();
-    for (graph::EdgeId e : t) os << ' ' << e;
-    os << '\n';
-  }
-  os << "vertices " << cp.vertices.size();
-  for (graph::Vertex v : cp.vertices) os << ' ' << v;
-  os << '\n';
-  const auto write_doubles = [&os](const char* name,
-                                   const std::vector<double>& v) {
-    os << name << ' ' << v.size();
-    for (double x : v) os << ' ' << format_double(x);
-    os << '\n';
-  };
-  write_doubles("attacker", cp.attacker_history);
-  write_doubles("defender", cp.defender_history);
-  write_doubles("average", cp.average_history);
-  os << "end\n";
-  return os.str();
+  util::RecordWriter w;
+  w.header("defender-checkpoint", cp.version)
+      .line("solver", to_string(cp.solver))
+      .line("game", cp.n, cp.m, cp.k)
+      .line("progress", cp.iterations, cp.horizon, cp.next_checkpoint,
+            cp.any_truncated)
+      .line("bracket", cp.best_lower, cp.best_upper)
+      .line("tuples", cp.tuples.size());
+  for (const Tuple& t : cp.tuples) w.list("tuple", t);
+  w.list("vertices", cp.vertices)
+      .list("attacker", cp.attacker_history)
+      .list("defender", cp.defender_history)
+      .list("average", cp.average_history)
+      .line("end");
+  return w.take();
 }
 
 Solved<SolverCheckpoint> try_parse_checkpoint(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  std::size_t line_no = 0;
-  const auto next_line = [&]() -> bool {
-    while (std::getline(is, line)) {
-      ++line_no;
-      bool blank = true;
-      for (char ch : line)
-        if (!std::isspace(static_cast<unsigned char>(ch))) blank = false;
-      if (!blank) return true;
-    }
-    return false;
-  };
-
-  if (!next_line()) return parse_error(1, "empty input");
-  if (line.rfind("defender-checkpoint v", 0) != 0)
-    return parse_error(line_no, "missing 'defender-checkpoint v1' header");
-  {
-    const std::string version_token =
-        line.substr(std::string("defender-checkpoint v").size());
-    std::size_t version = 0;
-    if (!parse_count(version_token, 1'000'000, &version))
-      return parse_error(line_no, "malformed version: " + version_token);
-    if (version != kSolverCheckpointVersion)
-      return parse_error(
-          line_no, "unsupported checkpoint version " +
-                       std::to_string(version) + " (this build reads v" +
-                       std::to_string(kSolverCheckpointVersion) + ")");
-  }
-
-  SolverCheckpoint cp;
-
-  // solver <kind>
-  if (!next_line()) return parse_error(line_no + 1, "missing 'solver' line");
-  {
-    std::istringstream ls(line);
-    std::string key, kind_name;
-    if (!(ls >> key >> kind_name) || key != "solver")
-      return parse_error(line_no, "expected 'solver <kind>'");
-    if (!try_parse_solver_kind(kind_name, &cp.solver))
-      return parse_error(line_no, "unknown solver kind: " + kind_name);
-  }
-
-  // game <n> <m> <k>
-  if (!next_line()) return parse_error(line_no + 1, "missing 'game' line");
-  {
-    std::istringstream ls(line);
-    std::string key, sn, sm, sk;
-    if (!(ls >> key >> sn >> sm >> sk) || key != "game")
-      return parse_error(line_no, "expected 'game <n> <m> <k>'");
-    if (!parse_count(sn, kMaxCheckpointEntries, &cp.n) ||
-        !parse_count(sm, kMaxCheckpointEntries, &cp.m) ||
-        !parse_count(sk, kMaxCheckpointEntries, &cp.k))
-      return parse_error(line_no, "malformed game shape");
-  }
-
-  // progress <iterations> <horizon> <next_checkpoint> <any_truncated>
-  if (!next_line())
-    return parse_error(line_no + 1, "missing 'progress' line");
-  {
-    std::istringstream ls(line);
-    std::string key, si, sh, sc, st;
-    if (!(ls >> key >> si >> sh >> sc >> st) || key != "progress")
-      return parse_error(
-          line_no,
-          "expected 'progress <iterations> <horizon> <next> <truncated>'");
-    std::size_t truncated = 0;
-    constexpr std::size_t kMaxProgress =
-        std::numeric_limits<std::size_t>::max() / 4;
-    if (!parse_count(si, kMaxProgress, &cp.iterations) ||
-        !parse_count(sh, kMaxProgress, &cp.horizon) ||
-        !parse_count(sc, kMaxProgress, &cp.next_checkpoint) ||
-        !parse_count(st, 1, &truncated))
-      return parse_error(line_no, "malformed progress counters");
-    cp.any_truncated = truncated != 0;
-  }
-
-  // bracket <lower> <upper>
-  if (!next_line()) return parse_error(line_no + 1, "missing 'bracket' line");
-  {
-    std::istringstream ls(line);
-    std::string key, lo, hi;
-    if (!(ls >> key >> lo >> hi) || key != "bracket")
-      return parse_error(line_no, "expected 'bracket <lower> <upper>'");
-    if (!parse_finite(lo, &cp.best_lower) ||
-        !parse_finite(hi, &cp.best_upper))
-      return parse_error(line_no, "bracket bounds must be finite numbers");
-  }
-
-  // tuples <count> then one 'tuple <size> <edges...>' line each
-  if (!next_line()) return parse_error(line_no + 1, "missing 'tuples' line");
-  {
-    std::istringstream ls(line);
-    std::string key, count_token;
-    std::size_t count = 0;
-    if (!(ls >> key >> count_token) || key != "tuples" ||
-        !parse_count(count_token, kMaxCheckpointEntries, &count))
-      return parse_error(line_no, "expected 'tuples <count>'");
-    cp.tuples.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!next_line())
-        return parse_error(line_no + 1, "truncated tuple list");
-      std::istringstream ts(line);
-      std::string tkey, size_token;
-      std::size_t size = 0;
-      if (!(ts >> tkey >> size_token) || tkey != "tuple" ||
-          !parse_count(size_token, kMaxCheckpointEntries, &size))
-        return parse_error(line_no, "expected 'tuple <size> <edges...>'");
-      Tuple t;
-      t.reserve(size);
-      for (std::size_t j = 0; j < size; ++j) {
-        std::string edge_token;
-        std::size_t edge = 0;
-        if (!(ts >> edge_token) ||
-            !parse_count(edge_token, kMaxCheckpointEntries, &edge))
-          return parse_error(line_no, "malformed tuple edge list");
-        t.push_back(static_cast<graph::EdgeId>(edge));
-      }
-      cp.tuples.push_back(std::move(t));
-    }
-  }
-
-  // vertices <count> <v...>
-  if (!next_line())
-    return parse_error(line_no + 1, "missing 'vertices' line");
-  {
-    std::istringstream ls(line);
-    std::string key, count_token;
-    std::size_t count = 0;
-    if (!(ls >> key >> count_token) || key != "vertices" ||
-        !parse_count(count_token, kMaxCheckpointEntries, &count))
-      return parse_error(line_no, "expected 'vertices <count> <v...>'");
-    cp.vertices.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      std::string v_token;
-      std::size_t v = 0;
-      if (!(ls >> v_token) ||
-          !parse_count(v_token, kMaxCheckpointEntries, &v))
-        return parse_error(line_no, "malformed vertex list");
-      cp.vertices.push_back(static_cast<graph::Vertex>(v));
-    }
-  }
-
-  // attacker/defender/average <count> <x...>
-  const auto read_doubles = [&](const char* name,
-                                std::vector<double>* out) -> bool {
-    if (!next_line()) return false;
-    std::istringstream ls(line);
-    std::string key, count_token;
-    std::size_t count = 0;
-    if (!(ls >> key >> count_token) || key != name ||
-        !parse_count(count_token, kMaxCheckpointEntries, &count))
-      return false;
-    out->reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      std::string x_token;
-      double x = 0;
-      if (!(ls >> x_token) || !parse_finite(x_token, &x)) return false;
-      out->push_back(x);
-    }
-    return true;
-  };
-  if (!read_doubles("attacker", &cp.attacker_history))
-    return parse_error(line_no, "malformed 'attacker' state vector");
-  if (!read_doubles("defender", &cp.defender_history))
-    return parse_error(line_no, "malformed 'defender' state vector");
-  if (!read_doubles("average", &cp.average_history))
-    return parse_error(line_no, "malformed 'average' state vector");
-
-  if (!next_line() || line != "end")
-    return parse_error(line_no + 1, "missing 'end' trailer");
-
-  Solved<SolverCheckpoint> out;
-  out.result = std::move(cp);
-  out.status = Status::make_ok();
-  return out;
+  constexpr std::size_t kMax = kMaxCheckpointEntries;
+  constexpr std::size_t kMaxProgress =
+      std::numeric_limits<std::size_t>::max() / 4;
+  return util::read_record<SolverCheckpoint>(
+      text, "checkpoint", [](util::RecordReader& r, SolverCheckpoint& cp) {
+        std::size_t tuples = 0;
+        if (!(r.header("defender-checkpoint", kSolverCheckpointVersion) &&
+              r.line("solver <kind>") &&
+              r.name(&cp.solver, try_parse_solver_kind) &&
+              r.line("game <n> <m> <k>") && r.count(&cp.n, kMax) &&
+              r.count(&cp.m, kMax) && r.count(&cp.k, kMax) &&
+              r.line("progress <iterations> <horizon> <next> <truncated>") &&
+              r.count(&cp.iterations, kMaxProgress) &&
+              r.count(&cp.horizon, kMaxProgress) &&
+              r.count(&cp.next_checkpoint, kMaxProgress) &&
+              r.flag(&cp.any_truncated) &&
+              r.line("bracket <lower> <upper>") &&
+              r.number(&cp.best_lower) && r.number(&cp.best_upper) &&
+              r.line("tuples <count>") && r.count(&tuples, kMax)))
+          return false;
+        cp.tuples.reserve(tuples);
+        for (std::size_t i = 0; i < tuples; ++i) {
+          if (!r.line("tuple <size> <edges...>") ||
+              !r.list(&cp.tuples.emplace_back(), kMax))
+            return false;
+        }
+        return r.line("vertices <count> <v...>") &&
+               r.list(&cp.vertices, kMax) &&
+               r.line("attacker <count> <x...>") &&
+               r.list(&cp.attacker_history, kMax) &&
+               r.line("defender <count> <x...>") &&
+               r.list(&cp.defender_history, kMax) &&
+               r.line("average <count> <x...>") &&
+               r.list(&cp.average_history, kMax) && r.end();
+      });
 }
 
 Status save_checkpoint_file(const std::string& path,

@@ -17,16 +17,16 @@
 // exactly: same final status, equal-or-tighter certified bracket (asserted
 // by tests/fault/checkpoint_test).
 //
-// The text format follows core/serialization's line-oriented idiom
-// ("defender-checkpoint v1" header, %.17g doubles for bit-exact
-// round-trips, hardened parsing: range-checked counts, allocation caps,
-// kInvalidInput with a 1-based line number — and unknown versions are
-// rejected, never crashed on).
+// The text format ("defender-checkpoint v1", docs/FORMATS.md) is written
+// and read through the shared record codec (util/record.hpp): bit-exact
+// doubles, capped counts, kInvalidInput with a 1-based line number, and
+// unknown versions rejected, never crashed on.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/configuration.hpp"
@@ -74,7 +74,7 @@ constexpr const char* to_string(SolverKind kind) {
 }
 
 /// Parses a kind name produced by to_string; false on an unknown name.
-bool try_parse_solver_kind(const std::string& name, SolverKind* out);
+bool try_parse_solver_kind(std::string_view name, SolverKind* out);
 
 /// Complete loop state of one budgeted iterative solve, sufficient to
 /// resume it deterministically. Per-solver field mapping:

@@ -1,284 +1,152 @@
 #include "core/serialization.hpp"
 
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <iomanip>
 #include <sstream>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/record.hpp"
 
 namespace defender::core {
 
 void write_configuration(std::ostream& os, const TupleGame& game,
                          const MixedConfiguration& config) {
-  validate(game, config);
-  os << "defender-configuration v1\n";
-  os << "game " << game.graph().num_vertices() << ' '
-     << game.graph().num_edges() << ' ' << game.k() << ' '
-     << game.num_attackers() << '\n';
-  os << std::setprecision(17);
-  for (std::size_t i = 0; i < config.attackers.size(); ++i) {
-    const VertexDistribution& d = config.attackers[i];
-    os << "attacker " << i << ' ' << d.support().size();
-    for (std::size_t j = 0; j < d.support().size(); ++j)
-      os << ' ' << d.support()[j] << ' ' << d.probs()[j];
-    os << '\n';
-  }
-  os << "defender " << config.defender.support().size() << '\n';
-  for (std::size_t j = 0; j < config.defender.support().size(); ++j) {
-    os << "tuple " << config.defender.probs()[j];
-    for (graph::EdgeId e : config.defender.support()[j]) os << ' ' << e;
-    os << '\n';
-  }
+  os << to_text(game, config);
 }
 
 std::string to_text(const TupleGame& game, const MixedConfiguration& config) {
-  std::ostringstream os;
-  write_configuration(os, game, config);
-  return os.str();
+  validate(game, config);
+  util::RecordWriter w;
+  w.header("defender-configuration", 1)
+      .line("game", game.graph().num_vertices(), game.graph().num_edges(),
+            game.k(), game.num_attackers());
+  for (std::size_t i = 0; i < config.attackers.size(); ++i) {
+    const VertexDistribution& d = config.attackers[i];
+    w.open("attacker", i, d.support().size());
+    for (std::size_t j = 0; j < d.support().size(); ++j)
+      w.add(d.support()[j], d.probs()[j]);
+    w.close();
+  }
+  w.line("defender", config.defender.support().size());
+  for (std::size_t j = 0; j < config.defender.support().size(); ++j) {
+    w.open("tuple", config.defender.probs()[j]);
+    for (graph::EdgeId e : config.defender.support()[j]) w.add(e);
+    w.close();
+  }
+  return w.take();
 }
 
 namespace {
 
-/// Splits a line into whitespace-delimited tokens.
-std::vector<std::string_view> split(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t' ||
-                               line[i] == '\r'))
-      ++i;
-    const std::size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t' &&
-           line[i] != '\r')
-      ++i;
-    if (i > start) tokens.push_back(line.substr(start, i - start));
-  }
-  return tokens;
+/// Reads a token as an id in [0, bound), failing with `what '<token>' is
+/// not in [0, bound)`.
+template <typename T>
+bool read_id(util::RecordReader& r, std::uint64_t bound, const char* what,
+             T* out) {
+  std::string_view token;
+  if (!r.token(&token)) return false;
+  if (util::parse_count(token, bound > 0 ? bound - 1 : 0, out)) return true;
+  return r.fail(std::string(what) + " '" + std::string(token) +
+                "' is not in [0, " + std::to_string(bound) + ")");
 }
 
-/// Parses a non-negative integer <= `max` through a checked path, so
-/// "-1" and 2^64-spanning digit strings are explicit errors rather than
-/// silent wraps.
-bool parse_count(std::string_view tok, std::uint64_t max,
-                 std::uint64_t& out) {
-  if (tok.empty()) return false;
-  std::size_t i = 0;
-  const bool negative = tok[0] == '-';
-  if (negative || tok[0] == '+') i = 1;
-  if (i == tok.size()) return false;
-  std::uint64_t value = 0;
-  for (; i < tok.size(); ++i) {
-    const char c = tok[i];
-    if (c < '0' || c > '9') return false;
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;
-    value = value * 10 + digit;
-  }
-  if (negative && value != 0) return false;
-  if (value > max) return false;
-  out = value;
-  return true;
+/// Reads a probability: a finite double in [0, 1] (with a hair of slack
+/// for 17-digit round-trips).
+bool read_prob(util::RecordReader& r, double* out) {
+  std::string_view token;
+  if (!r.token(&token)) return false;
+  if (util::parse_finite(token, out) && *out >= 0 && *out <= 1 + 1e-12)
+    return true;
+  return r.fail("probability '" + std::string(token) + "' is not in [0, 1]");
 }
 
-/// Parses a probability token: a finite double in [0, 1] (with a hair of
-/// slack for 17-digit round-trips).
-bool parse_prob(std::string_view tok, double& out) {
-  const std::string buf(tok);
-  char* end = nullptr;
-  const double value = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size() || buf.empty()) return false;
-  if (!std::isfinite(value) || value < 0 || value > 1 + 1e-12) return false;
-  out = value;
-  return true;
-}
-
-/// Sequential access to non-empty lines with 1-based numbering.
-class LineReader {
- public:
-  explicit LineReader(std::istream& is) {
-    std::string line;
-    while (std::getline(is, line)) lines_.push_back(std::move(line));
-  }
-
-  /// Next non-blank line, or false at end of input. `number` receives the
-  /// 1-based line number.
-  bool next(std::string_view& line, std::size_t& number) {
-    while (index_ < lines_.size()) {
-      const std::string& l = lines_[index_];
-      ++index_;
-      if (!split(l).empty()) {
-        line = l;
-        number = index_;
-        return true;
-      }
-    }
-    number = lines_.size() + 1;
-    return false;
-  }
-
- private:
-  std::vector<std::string> lines_;
-  std::size_t index_ = 0;
-};
-
-Solved<MixedConfiguration> parse_failure(std::size_t line, std::string what) {
-  Solved<MixedConfiguration> out;
-  out.status = Status::make(
-      StatusCode::kInvalidInput,
-      "line " + std::to_string(line) + ": " + std::move(what));
-  return out;
-}
-
-}  // namespace
-
-Solved<MixedConfiguration> try_read_configuration(std::istream& is,
-                                                  const TupleGame& game) {
-  LineReader reader(is);
-  std::string_view line;
-  std::size_t ln = 0;
-
-  if (!reader.next(line, ln) || split(line) !=
-                                    std::vector<std::string_view>{
-                                        "defender-configuration", "v1"})
-    return parse_failure(ln, "missing or unsupported configuration header");
-
-  if (!reader.next(line, ln))
-    return parse_failure(ln, "missing game line");
-  {
-    const auto tokens = split(line);
-    std::uint64_t n = 0, m = 0, k = 0, nu = 0;
-    if (tokens.size() != 5 || tokens[0] != "game" ||
-        !parse_count(tokens[1], UINT32_MAX, n) ||
-        !parse_count(tokens[2], UINT32_MAX, m) ||
-        !parse_count(tokens[3], UINT32_MAX, k) ||
-        !parse_count(tokens[4], UINT32_MAX, nu))
-      return parse_failure(ln, "malformed game line (want 'game n m k nu')");
-    if (n != game.graph().num_vertices() ||
-        m != game.graph().num_edges() || k != game.k() ||
-        nu != game.num_attackers())
-      return parse_failure(
-          ln, "configuration was written for a different game instance");
-  }
-
+bool read_configuration(util::RecordReader& r, const TupleGame& game,
+                        MixedConfiguration& out) {
   const std::uint64_t n = game.graph().num_vertices();
   const std::uint64_t m = game.graph().num_edges();
   const std::size_t k = game.k();
   const std::size_t nu = game.num_attackers();
+  std::uint64_t shape[4] = {};
+  if (!r.header("defender-configuration", 1) ||
+      !r.line("game <n> <m> <k> <nu>", "missing game line"))
+    return false;
+  for (std::uint64_t& v : shape)
+    if (!r.count(&v, UINT32_MAX)) return false;
+  if (shape[0] != n || shape[1] != m || shape[2] != k || shape[3] != nu)
+    return r.fail("configuration was written for a different game instance");
 
   std::vector<VertexDistribution> attackers;
   attackers.reserve(nu);
   for (std::size_t i = 0; i < nu; ++i) {
-    if (!reader.next(line, ln))
-      return parse_failure(ln, "missing attacker " + std::to_string(i) +
-                                   " line");
-    const auto tokens = split(line);
     std::uint64_t index = 0, size = 0;
-    if (tokens.size() < 3 || tokens[0] != "attacker" ||
-        !parse_count(tokens[1], nu - 1, index) || index != i ||
-        !parse_count(tokens[2], n, size))
-      return parse_failure(
-          ln, "malformed attacker line (want 'attacker " +
-                  std::to_string(i) + " <size <= n> ...')");
-    if (tokens.size() != 3 + 2 * static_cast<std::size_t>(size))
-      return parse_failure(ln, "attacker line holds " +
-                                   std::to_string((tokens.size() - 3) / 2) +
-                                   " pairs, declared " +
-                                   std::to_string(size));
+    if (!r.line("attacker <i> <size <= n> {<vertex> <prob>}...") ||
+        !r.count(&index, nu - 1) || !r.check(index == i) ||
+        !r.count(&size, n))
+      return false;
     graph::VertexSet support(static_cast<std::size_t>(size));
     std::vector<double> probs(static_cast<std::size_t>(size));
-    for (std::size_t j = 0; j < size; ++j) {
-      std::uint64_t v = 0;
-      if (!parse_count(tokens[3 + 2 * j], n > 0 ? n - 1 : 0, v))
-        return parse_failure(ln, "vertex '" +
-                                     std::string(tokens[3 + 2 * j]) +
-                                     "' is not in [0, " +
-                                     std::to_string(n) + ")");
-      if (!parse_prob(tokens[4 + 2 * j], probs[j]))
-        return parse_failure(ln, "probability '" +
-                                     std::string(tokens[4 + 2 * j]) +
-                                     "' is not in [0, 1]");
-      support[j] = static_cast<graph::Vertex>(v);
-    }
+    for (std::size_t j = 0; j < size; ++j)
+      if (!read_id(r, n, "vertex", &support[j]) || !read_prob(r, &probs[j]))
+        return false;
     try {
       attackers.emplace_back(std::move(support), std::move(probs));
     } catch (const ContractViolation& e) {
-      return parse_failure(ln, e.what());
+      return r.fail(e.what());
     }
   }
 
-  if (!reader.next(line, ln))
-    return parse_failure(ln, "missing defender line");
   std::uint64_t tuples = 0;
-  {
-    const auto tokens = split(line);
-    if (tokens.size() != 2 || tokens[0] != "defender" ||
-        !parse_count(tokens[1], kMaxSerializedTuples, tuples))
-      return parse_failure(ln, "malformed defender line (want 'defender "
-                               "<count <= " +
-                                   std::to_string(kMaxSerializedTuples) +
-                                   ">')");
-    if (tuples == 0)
-      return parse_failure(ln, "defender support must be nonempty");
-  }
-
+  if (!r.line("defender <count>") ||
+      !r.count(&tuples, kMaxSerializedTuples))
+    return false;
+  if (tuples == 0) return r.fail("defender support must be nonempty");
   std::vector<Tuple> support;
-  std::vector<double> probs;
+  std::vector<double> probs(static_cast<std::size_t>(tuples));
   support.reserve(static_cast<std::size_t>(tuples));
-  probs.reserve(static_cast<std::size_t>(tuples));
-  for (std::uint64_t t = 0; t < tuples; ++t) {
-    if (!reader.next(line, ln))
-      return parse_failure(ln, "truncated defender support (" +
-                                   std::to_string(t) + " of " +
-                                   std::to_string(tuples) + " tuples)");
-    const auto tokens = split(line);
-    double p = 0;
-    if (tokens.size() != 2 + k || tokens[0] != "tuple" ||
-        !parse_prob(tokens[1], p))
-      return parse_failure(ln, "malformed tuple line (want 'tuple <prob> "
-                               "<" +
-                                   std::to_string(k) + " edge ids>')");
+  for (double& p : probs) {
     Tuple edges(k);
-    for (std::size_t j = 0; j < k; ++j) {
-      std::uint64_t e = 0;
-      if (!parse_count(tokens[2 + j], m > 0 ? m - 1 : 0, e))
-        return parse_failure(ln, "edge id '" + std::string(tokens[2 + j]) +
-                                     "' is not in [0, " +
-                                     std::to_string(m) + ")");
-      edges[j] = static_cast<graph::EdgeId>(e);
-    }
+    if (!r.line("tuple <prob> <edge>...", "truncated defender support") ||
+        !read_prob(r, &p))
+      return false;
+    for (graph::EdgeId& e : edges)
+      if (!read_id(r, m, "edge id", &e)) return false;
     try {
       support.push_back(make_tuple(game, std::move(edges)));
     } catch (const ContractViolation& e) {
-      return parse_failure(ln, e.what());
+      return r.fail(e.what());
     }
-    probs.push_back(p);
   }
+  if (!r.done()) return false;
+  if (r.next()) return r.fail("trailing garbage after the defender support");
 
-  if (reader.next(line, ln))
-    return parse_failure(ln, "trailing garbage after the defender support");
-
-  Solved<MixedConfiguration> out;
   try {
-    out.result = MixedConfiguration{
+    out = MixedConfiguration{
         std::move(attackers),
         TupleDistribution(std::move(support), std::move(probs))};
-    validate(game, out.result);
+    validate(game, out);
   } catch (const ContractViolation& e) {
-    return parse_failure(ln, e.what());
+    return r.fail(e.what());
   }
-  out.status = Status::make_ok();
-  return out;
+  return true;
 }
+
+}  // namespace
 
 Solved<MixedConfiguration> try_from_text(const TupleGame& game,
                                          const std::string& text) {
-  std::istringstream is(text);
-  return try_read_configuration(is, game);
+  return util::read_record<MixedConfiguration>(
+      text, "", [&game](util::RecordReader& r, MixedConfiguration& out) {
+        return read_configuration(r, game, out);
+      });
+}
+
+Solved<MixedConfiguration> try_read_configuration(std::istream& is,
+                                                  const TupleGame& game) {
+  std::ostringstream buffer;
+  buffer << is.rdbuf();
+  return try_from_text(game, buffer.str());
 }
 
 MixedConfiguration read_configuration(std::istream& is,
@@ -287,8 +155,7 @@ MixedConfiguration read_configuration(std::istream& is,
 }
 
 MixedConfiguration from_text(const TupleGame& game, const std::string& text) {
-  std::istringstream is(text);
-  return read_configuration(is, game);
+  return std::move(try_from_text(game, text)).value_or_throw();
 }
 
 }  // namespace defender::core

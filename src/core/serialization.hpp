@@ -11,14 +11,12 @@
 //   defender <support size>
 //   tuple <prob> <edge>...          (one line per support tuple)
 //
-// Probabilities are written with 17 significant digits so round-trips are
-// bit-exact for the uniform distributions the constructions produce.
-//
-// Parsing is hardened against untrusted input: every count goes through a
-// signed range-checked path (no silent wrap of "-1"), declared support
-// sizes are capped before any allocation, and errors carry the 1-based
-// line number. try_from_text / try_read_configuration report failures as a
-// structured defender::Status (kInvalidInput) instead of throwing.
+// The shared record codec (util/record.hpp, docs/FORMATS.md) writes and
+// reads it: probabilities round-trip bit for bit, counts are capped
+// before any allocation (no silent wrap of "-1"), and errors carry the
+// 1-based line number. try_from_text / try_read_configuration report
+// failures as a structured defender::Status (kInvalidInput) instead of
+// throwing.
 #pragma once
 
 #include <cstddef>

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <optional>
 #include <string_view>
@@ -20,6 +19,7 @@
 #include "sim/multiplicative_weights.hpp"
 #include "util/assert.hpp"
 #include "util/json_writer.hpp"
+#include "util/record.hpp"
 
 namespace defender::engine {
 
@@ -954,24 +954,14 @@ Solved<RetryPolicy> RetryPolicy::try_parse(const std::string& spec) {
     if (value.empty()) return fail("empty value for '" + key + "'");
 
     const auto parse_double = [&](double* slot) {
-      char* parse_end = nullptr;
-      const double v = std::strtod(value.c_str(), &parse_end);
-      if (parse_end == nullptr || *parse_end != '\0' || !std::isfinite(v) ||
-          v < 0)
-        return false;
-      *slot = v;
-      return true;
+      return util::parse_finite(value, slot) && *slot >= 0;
     };
 
     if (key == "attempts") {
-      char* parse_end = nullptr;
-      const unsigned long long v =
-          std::strtoull(value.c_str(), &parse_end, 10);
-      if (parse_end == nullptr || *parse_end != '\0' || v == 0 ||
-          v > 1'000'000)
+      if (!util::parse_count(value, 1'000'000, &policy.max_attempts) ||
+          policy.max_attempts == 0)
         return fail("attempts must be an integer in [1, 1e6], got '" +
                     value + "'");
-      policy.max_attempts = static_cast<std::size_t>(v);
     } else if (key == "grow") {
       if (!parse_double(&policy.budget_growth) || policy.budget_growth < 1.0)
         return fail("grow must be a finite number >= 1, got '" + value + "'");

@@ -1,12 +1,10 @@
 #include "fault/fault.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "obs/clock.hpp"
+#include "util/record.hpp"
 
 namespace defender::fault {
 
@@ -31,14 +29,6 @@ std::uint64_t draw(std::uint64_t seed, std::uint64_t stream,
 /// Uniform [0, 1) from the top 53 bits of a draw.
 double to_unit(std::uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-Solved<FaultPlan> parse_error(std::size_t line, const std::string& what) {
-  Solved<FaultPlan> out;
-  out.status = Status::make(
-      StatusCode::kInvalidInput,
-      "fault plan line " + std::to_string(line) + ": " + what);
-  return out;
 }
 
 }  // namespace
@@ -85,95 +75,46 @@ std::string FaultContext::summary() const {
 }
 
 std::string FaultPlan::to_text() const {
-  std::ostringstream os;
-  os << "fault-plan v1\n";
-  os << "seed " << seed << '\n';
-  char buf[64];
-  for (FaultSite s : kAllFaultSites) {
-    std::snprintf(buf, sizeof(buf), "%.17g", rate_of(s));
-    os << "rate " << to_string(s) << ' ' << buf << '\n';
-  }
-  os << "end\n";
-  return os.str();
+  util::RecordWriter w;
+  w.header("fault-plan", 1).line("seed", seed);
+  for (FaultSite s : kAllFaultSites) w.line("rate", to_string(s), rate_of(s));
+  w.line("end");
+  return w.take();
 }
 
 Solved<FaultPlan> FaultPlan::try_parse(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  std::size_t line_no = 0;
-  const auto next_line = [&]() -> bool {
-    while (std::getline(is, line)) {
-      ++line_no;
-      // Skip blank lines so hand-edited plans stay parseable.
-      bool blank = true;
-      for (char ch : line)
-        if (!std::isspace(static_cast<unsigned char>(ch))) blank = false;
-      if (!blank) return true;
-    }
-    return false;
-  };
-
-  if (!next_line()) return parse_error(1, "empty input");
-  if (line != "fault-plan v1") {
-    if (line.rfind("fault-plan", 0) == 0)
-      return parse_error(line_no, "unsupported fault-plan version: " + line);
-    return parse_error(line_no, "missing 'fault-plan v1' header");
-  }
-
-  FaultPlan plan;
-  bool saw_seed = false;
-  bool saw_end = false;
-  std::array<bool, kFaultSiteCount> seen{};
-  while (next_line()) {
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-    if (key == "end") {
-      saw_end = true;
-      break;
-    }
-    if (key == "seed") {
-      std::string value;
-      if (!(ls >> value)) return parse_error(line_no, "seed needs a value");
-      errno = 0;
-      char* rest = nullptr;
-      const unsigned long long parsed =
-          std::strtoull(value.c_str(), &rest, 10);
-      if (errno != 0 || rest == value.c_str() || *rest != '\0' ||
-          value[0] == '-')
-        return parse_error(line_no, "malformed seed: " + value);
-      plan.seed = parsed;
-      saw_seed = true;
-      continue;
-    }
-    if (key == "rate") {
-      std::string site_name, value;
-      if (!(ls >> site_name >> value))
-        return parse_error(line_no, "rate needs '<site> <probability>'");
-      FaultSite site{};
-      if (!try_parse_fault_site(site_name, &site))
-        return parse_error(line_no, "unknown fault site: " + site_name);
-      errno = 0;
-      char* rest = nullptr;
-      const double r = std::strtod(value.c_str(), &rest);
-      if (errno != 0 || rest == value.c_str() || *rest != '\0' ||
-          !(r >= 0.0 && r <= 1.0))
-        return parse_error(line_no,
-                           "rate must be a number in [0, 1], got: " + value);
-      plan.rate_of(site) = r;
-      seen[static_cast<std::size_t>(site)] = true;
-      continue;
-    }
-    return parse_error(line_no, "unknown directive: " + key);
-  }
-  if (!saw_end) return parse_error(line_no + 1, "missing 'end' trailer");
-  if (!saw_seed) return parse_error(line_no, "missing 'seed' line");
-  (void)seen;  // Omitted sites default to rate 0 — a valid sparse plan.
-
-  Solved<FaultPlan> out;
-  out.result = plan;
-  out.status = Status::make_ok();
-  return out;
+  // Directives come in any order, and omitted sites default to rate 0 —
+  // a valid sparse plan; blank lines keep hand-edited plans parseable.
+  return util::read_record<FaultPlan>(
+      text, "fault plan", [](util::RecordReader& r, FaultPlan& plan) {
+        if (!r.header("fault-plan", 1)) return false;
+        bool saw_seed = false;
+        while (r.next()) {
+          if (r.at("end"))
+            return r.done() && (saw_seed || r.fail("missing 'seed' line"));
+          if (r.at("seed <n>")) {
+            if (!r.count(&plan.seed,
+                         std::numeric_limits<std::uint64_t>::max()) ||
+                !r.done())
+              return false;
+            saw_seed = true;
+            continue;
+          }
+          FaultSite site{};
+          double rate = 0;
+          if (r.at("rate <site> <probability in [0, 1]>")) {
+            if (!r.name(&site, try_parse_fault_site) || !r.number(&rate) ||
+                !r.check(rate >= 0.0 && rate <= 1.0) || !r.done())
+              return false;
+            plan.rate_of(site) = rate;
+            continue;
+          }
+          std::string_view key;
+          r.token(&key);
+          return r.fail("unknown directive: " + std::string(key));
+        }
+        return r.fail_at(r.line_no() + 1, "missing 'end' trailer");
+      });
 }
 
 void perturb_clock(FaultContext* fault) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/record.hpp"
 
 namespace defender::graph {
 
@@ -75,30 +76,6 @@ std::vector<Token> tokenize(std::string_view text) {
   return tokens;
 }
 
-/// Parses a non-negative integer <= `max`. Goes through a signed 64-bit
-/// accumulator so "-1" is an explicit error, not a silent wrap to 2^32-1
-/// (which is what `istream >> uint32_t` produces).
-bool parse_count(std::string_view tok, std::uint64_t max,
-                 std::uint64_t& out) {
-  if (tok.empty()) return false;
-  std::size_t i = 0;
-  const bool negative = tok[0] == '-';
-  if (negative || tok[0] == '+') i = 1;
-  if (i == tok.size()) return false;
-  std::uint64_t value = 0;
-  for (; i < tok.size(); ++i) {
-    const char c = tok[i];
-    if (c < '0' || c > '9') return false;
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;  // overflow
-    value = value * 10 + digit;
-  }
-  if (negative && value != 0) return false;
-  if (value > max) return false;
-  out = value;
-  return true;
-}
-
 Solved<Graph> parse_failure(std::size_t line, std::string what) {
   Solved<Graph> out;
   out.status = Status::make(
@@ -118,12 +95,12 @@ Solved<Graph> try_parse_edge_list(const std::string& text) {
                          "header must be 'n m' (two counts)");
 
   std::uint64_t n = 0, m = 0;
-  if (!parse_count(tokens[0].text, kMaxParseVertices, n))
+  if (!util::parse_count(tokens[0].text, kMaxParseVertices, &n))
     return parse_failure(tokens[0].line,
                          "vertex count '" + std::string(tokens[0].text) +
                              "' is not an integer in [0, " +
                              std::to_string(kMaxParseVertices) + "]");
-  if (!parse_count(tokens[1].text, kMaxParseEdges, m))
+  if (!util::parse_count(tokens[1].text, kMaxParseEdges, &m))
     return parse_failure(tokens[1].line,
                          "edge count '" + std::string(tokens[1].text) +
                              "' is not an integer in [0, " +
@@ -136,8 +113,8 @@ Solved<Graph> try_parse_edge_list(const std::string& text) {
                          "edge count " + std::to_string(m) +
                              " exceeds the simple-graph maximum n(n-1)/2 = " +
                              std::to_string(n * (n - 1) / 2));
-  if (n == 0 && m > 0)
-    return parse_failure(tokens[1].line, "edges declared on 0 vertices");
+  if (n == 0)
+    return parse_failure(tokens[0].line, "the header declares 0 vertices");
   if (tokens.size() < 2 + 2 * m) {
     const Token& last = tokens.back();
     return parse_failure(last.line,
@@ -155,11 +132,11 @@ Solved<Graph> try_parse_edge_list(const std::string& text) {
     const Token& tu = tokens[2 + 2 * i];
     const Token& tv = tokens[3 + 2 * i];
     std::uint64_t u = 0, v = 0;
-    if (!parse_count(tu.text, n > 0 ? n - 1 : 0, u))
+    if (!util::parse_count(tu.text, n > 0 ? n - 1 : 0, &u))
       return parse_failure(tu.line, "endpoint '" + std::string(tu.text) +
                                         "' is not a vertex in [0, " +
                                         std::to_string(n) + ")");
-    if (!parse_count(tv.text, n > 0 ? n - 1 : 0, v))
+    if (!util::parse_count(tv.text, n > 0 ? n - 1 : 0, &v))
       return parse_failure(tv.line, "endpoint '" + std::string(tv.text) +
                                         "' is not a vertex in [0, " +
                                         std::to_string(n) + ")");

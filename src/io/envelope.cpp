@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "io/crc32c.hpp"
+#include "util/record.hpp"
 
 namespace defender::io {
 
@@ -59,20 +60,6 @@ bool split_key(std::string_view line, std::string_view key,
   return true;
 }
 
-/// Strict decimal parse with an explicit cap (no leading '+', no empty).
-bool parse_size(std::string_view text, std::size_t cap, std::size_t* out) {
-  if (text.empty() || text.size() > 20) return false;
-  std::size_t value = 0;
-  for (const char ch : text) {
-    if (ch < '0' || ch > '9') return false;
-    const std::size_t digit = static_cast<std::size_t>(ch - '0');
-    if (value > (cap - digit) / 10) return false;
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
-
 /// Strict 8-lowercase-hex-digit parse.
 bool parse_hex32(std::string_view text, std::uint32_t* out) {
   if (text.size() != 8) return false;
@@ -102,7 +89,7 @@ int match_header(std::string_view line, std::string_view magic,
     return 0;
   const std::string_view version = line.substr(magic.size());
   std::size_t parsed = 0;
-  if (!parse_size(version, 1'000'000, &parsed)) return 0;
+  if (!util::parse_count(version, 1'000'000, &parsed)) return 0;
   if (parsed != kArtifactEnvelopeVersion) {
     *error = "unsupported artifact envelope version " + std::string(version);
     return -1;
@@ -195,7 +182,7 @@ Solved<UnwrappedArtifact> unwrap_artifact(std::string_view text,
 
   std::size_t bytes = 0;
   if (!cur.take_line(&line) || !split_key(line, "bytes", &value) ||
-      !parse_size(value, kMaxArtifactBytes, &bytes)) {
+      !util::parse_count(value, kMaxArtifactBytes, &bytes)) {
     out.status = invalid("artifact envelope torn in 'bytes' line");
     return out;
   }
@@ -278,7 +265,7 @@ Solved<UnwrappedRecords> unwrap_record_artifact(std::string_view text,
 
   std::size_t declared = 0;
   if (!cur.take_line(&line) || !split_key(line, "records", &value) ||
-      !parse_size(value, kMaxArtifactRecords, &declared)) {
+      !util::parse_count(value, kMaxArtifactRecords, &declared)) {
     out.status = invalid("record artifact torn in 'records' line");
     return out;
   }
@@ -302,7 +289,7 @@ Solved<UnwrappedRecords> unwrap_record_artifact(std::string_view text,
     }
     const std::size_t space = rest.find(' ');
     if (space == std::string_view::npos ||
-        !parse_size(rest.substr(0, space), kMaxArtifactBytes, &bytes) ||
+        !util::parse_count(rest.substr(0, space), kMaxArtifactBytes, &bytes) ||
         !parse_hex32(rest.substr(space + 1), &declared_crc)) {
       out.result.torn = true;
       break;

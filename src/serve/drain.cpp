@@ -1,301 +1,116 @@
 #include "serve/drain.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
 #include <limits>
-#include <sstream>
 
 #include "core/checkpoint.hpp"
+#include "util/record.hpp"
 
 namespace defender::serve {
 
+std::string to_text(const DrainManifest& manifest) {
+  util::RecordWriter w;
+  w.header("defender-drain", manifest.version)
+      .line("jobs", manifest.jobs.size());
+  for (const DrainedJob& j : manifest.jobs) {
+    w.line("job", j.job_index, j.client, j.request_id)
+        .line("spec", engine::to_string(j.spec.solver), j.spec.n, j.spec.k,
+              j.spec.attackers, j.spec.tolerance, j.spec.max_iterations,
+              j.spec.wall_clock_seconds, j.spec.oracle_node_budget)
+        .open("edges", j.spec.edges.size());
+    for (const auto& [u, v] : j.spec.edges) w.add(u, v);
+    w.close()
+        .list("weights", j.spec.weights)
+        .block("checkpoint", j.checkpoint_text);
+  }
+  w.line("end");
+  return w.take();
+}
+
 namespace {
 
-Solved<DrainManifest> parse_error(std::size_t line, const std::string& what) {
-  Solved<DrainManifest> out;
-  out.status = Status::make(
-      StatusCode::kInvalidInput,
-      "drain manifest line " + std::to_string(line) + ": " + what);
-  return out;
-}
-
-bool parse_count(const std::string& token, std::size_t cap,
-                 std::size_t* out) {
-  if (token.empty() || token[0] == '-') return false;
-  errno = 0;
-  char* rest = nullptr;
-  const unsigned long long v = std::strtoull(token.c_str(), &rest, 10);
-  if (errno != 0 || rest == token.c_str() || *rest != '\0') return false;
-  if (v > cap) return false;
-  *out = static_cast<std::size_t>(v);
-  return true;
-}
-
-bool parse_finite(const std::string& token, double* out) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* rest = nullptr;
-  const double v = std::strtod(token.c_str(), &rest);
-  if (errno != 0 || rest == token.c_str() || *rest != '\0' ||
-      !std::isfinite(v))
+bool read_job(util::RecordReader& r, DrainedJob& job) {
+  constexpr std::size_t kMaxIndex =
+      std::numeric_limits<std::size_t>::max() / 4;
+  Request& spec = job.spec;
+  spec.type = RequestType::kSolve;
+  std::size_t edges = 0;
+  if (!(r.line("job <index> <client> <request-id>", "truncated job list") &&
+        r.count(&job.job_index, kMaxIndex) && r.word(&job.client) &&
+        r.word(&job.request_id)))
     return false;
-  *out = v;
-  return true;
-}
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-/// Number of '\n'-terminated lines in a checkpoint text block.
-std::size_t count_lines(const std::string& text) {
-  std::size_t lines = 0;
-  bool pending = false;
-  for (const char c : text) {
-    pending = true;
-    if (c == '\n') {
-      ++lines;
-      pending = false;
-    }
+  if (!valid_id(job.client) || !valid_id(job.request_id))
+    return r.fail("malformed client or request id");
+  spec.client = job.client;
+  spec.id = job.request_id;
+  if (!(r.line("spec <solver> <n> <k> <attackers> <tolerance> <iters> "
+               "<wall> <oracle>") &&
+        r.name(&spec.solver, engine::try_parse_job_solver) &&
+        r.count(&spec.n, kMaxRequestVertices) && r.check(spec.n > 0) &&
+        r.count(&spec.k, kMaxRequestEdges) && r.check(spec.k > 0) &&
+        r.count(&spec.attackers, kMaxRequestAttackers) &&
+        r.check(spec.attackers > 0) && r.number(&spec.tolerance) &&
+        r.check(spec.tolerance >= 0) &&
+        r.count(&spec.max_iterations, kMaxIndex) &&
+        r.number(&spec.wall_clock_seconds) &&
+        r.check(spec.wall_clock_seconds >= 0) &&
+        r.count(&spec.oracle_node_budget, kMaxIndex) &&
+        r.line("edges <count> <u v>...") &&
+        r.count(&edges, kMaxRequestEdges)))
+    return false;
+  for (std::size_t i = 0; i < edges; ++i) {
+    std::size_t u = 0, v = 0;
+    if (!r.count(&u, spec.n - 1) || !r.count(&v, spec.n - 1) ||
+        !r.check(u != v))
+      return false;
+    spec.edges.emplace_back(u, v);
   }
-  if (pending) ++lines;
-  return lines;
+  if (spec.edges.empty()) return r.fail("job has no edges");
+  if (!(r.line("weights <count> <w>...") &&
+        r.list(&spec.weights, kMaxRequestVertices)))
+    return false;
+  for (const double w : spec.weights)
+    if (!r.check(w >= 0)) return false;
+  if (engine::is_weighted(spec.solver) && spec.weights.size() != spec.n)
+    return r.fail("weighted job needs exactly n weights");
+  if (!engine::is_weighted(spec.solver) && !spec.weights.empty())
+    return r.fail("unweighted job carries weights");
+
+  if (!r.block("checkpoint <line-count>", kMaxDrainCheckpointLines,
+               &job.checkpoint_text))
+    return false;
+  const std::string& block = job.checkpoint_text;
+  if (block.empty()) return true;
+  // The block's first line: "checkpoint line K" inside the message is
+  // manifest line first_line + K - 1.
+  const std::size_t first_line =
+      r.line_no() + 1 -
+      static_cast<std::size_t>(std::count(block.begin(), block.end(), '\n'));
+  const Solved<core::SolverCheckpoint> parsed =
+      core::try_parse_checkpoint(block);
+  if (!parsed.ok())
+    return r.fail_at(first_line, "embedded checkpoint rejected: " +
+                                     parsed.status.message);
+  if (spec.solver == engine::JobSolver::kZeroSumLp)
+    return r.fail_at(first_line,
+                     "zero-sum-lp jobs cannot carry a checkpoint");
+  return true;
 }
 
 }  // namespace
 
-std::string to_text(const DrainManifest& manifest) {
-  std::ostringstream os;
-  os << "defender-drain v" << manifest.version << '\n';
-  os << "jobs " << manifest.jobs.size() << '\n';
-  for (const DrainedJob& j : manifest.jobs) {
-    os << "job " << j.job_index << ' ' << j.client << ' ' << j.request_id
-       << '\n';
-    os << "spec " << engine::to_string(j.spec.solver) << ' ' << j.spec.n
-       << ' ' << j.spec.k << ' ' << j.spec.attackers << ' '
-       << format_double(j.spec.tolerance) << ' ' << j.spec.max_iterations
-       << ' ' << format_double(j.spec.wall_clock_seconds) << ' '
-       << j.spec.oracle_node_budget << '\n';
-    os << "edges " << j.spec.edges.size();
-    for (const auto& [u, v] : j.spec.edges) os << ' ' << u << ' ' << v;
-    os << '\n';
-    os << "weights " << j.spec.weights.size();
-    for (const double w : j.spec.weights) os << ' ' << format_double(w);
-    os << '\n';
-    os << "checkpoint " << count_lines(j.checkpoint_text) << '\n';
-    if (!j.checkpoint_text.empty()) {
-      os << j.checkpoint_text;
-      if (j.checkpoint_text.back() != '\n') os << '\n';
-    }
-  }
-  os << "end\n";
-  return os.str();
-}
-
 Solved<DrainManifest> try_parse_drain_manifest(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  std::size_t line_no = 0;
-  const auto next_line = [&]() -> bool {
-    while (std::getline(is, line)) {
-      ++line_no;
-      bool blank = true;
-      for (char ch : line)
-        if (!std::isspace(static_cast<unsigned char>(ch))) blank = false;
-      if (!blank) return true;
-    }
-    return false;
-  };
-  // Checkpoint blocks are copied VERBATIM: no blank-skipping, every line
-  // counted, so the embedded text round-trips byte for byte.
-  const auto next_raw_line = [&]() -> bool {
-    if (!std::getline(is, line)) return false;
-    ++line_no;
-    return true;
-  };
-
-  if (!next_line()) return parse_error(1, "empty input");
-  if (line.rfind("defender-drain v", 0) != 0)
-    return parse_error(line_no, "missing 'defender-drain v1' header");
-  {
-    const std::string version_token =
-        line.substr(std::string("defender-drain v").size());
-    std::size_t version = 0;
-    if (!parse_count(version_token, 1'000'000, &version))
-      return parse_error(line_no, "malformed version: " + version_token);
-    if (version != kDrainManifestVersion)
-      return parse_error(line_no,
-                         "unsupported drain manifest version " +
-                             std::to_string(version) + " (this build reads v" +
-                             std::to_string(kDrainManifestVersion) + ")");
-  }
-
-  DrainManifest manifest;
-
-  if (!next_line()) return parse_error(line_no + 1, "missing 'jobs' line");
-  std::size_t job_count = 0;
-  {
-    std::istringstream ls(line);
-    std::string key, count_token;
-    if (!(ls >> key >> count_token) || key != "jobs" ||
-        !parse_count(count_token, kMaxDrainJobs, &job_count))
-      return parse_error(line_no, "expected 'jobs <count>'");
-  }
-  manifest.jobs.reserve(job_count);
-
-  constexpr std::size_t kMaxIndex =
-      std::numeric_limits<std::size_t>::max() / 4;
-  for (std::size_t i = 0; i < job_count; ++i) {
-    DrainedJob job;
-    job.spec.type = RequestType::kSolve;
-
-    // job <index> <client> <request_id>
-    if (!next_line())
-      return parse_error(line_no + 1, "truncated job list");
-    {
-      std::istringstream ls(line);
-      std::string key, index_token;
-      if (!(ls >> key >> index_token >> job.client >> job.request_id) ||
-          key != "job" || !parse_count(index_token, kMaxIndex, &job.job_index))
-        return parse_error(line_no,
-                           "expected 'job <index> <client> <request-id>'");
-      if (!valid_id(job.client) || !valid_id(job.request_id))
-        return parse_error(line_no, "malformed client or request id");
-      std::string extra;
-      if (ls >> extra)
-        return parse_error(line_no, "trailing tokens on 'job' line");
-    }
-    job.spec.client = job.client;
-    job.spec.id = job.request_id;
-
-    // spec <solver> <n> <k> <attackers> <tol> <iters> <wall> <oracle>
-    if (!next_line()) return parse_error(line_no + 1, "missing 'spec' line");
-    {
-      std::istringstream ls(line);
-      std::string key, solver_name, sn, sk, sa, stol, siters, swall, soracle;
-      if (!(ls >> key >> solver_name >> sn >> sk >> sa >> stol >> siters >>
-            swall >> soracle) ||
-          key != "spec")
-        return parse_error(line_no,
-                           "expected 'spec <solver> <n> <k> <attackers> "
-                           "<tolerance> <iters> <wall> <oracle>'");
-      if (!engine::try_parse_job_solver(solver_name, &job.spec.solver))
-        return parse_error(line_no, "unknown solver: " + solver_name);
-      std::size_t oracle = 0;
-      if (!parse_count(sn, kMaxRequestVertices, &job.spec.n) ||
-          job.spec.n == 0 ||
-          !parse_count(sk, kMaxRequestEdges, &job.spec.k) ||
-          job.spec.k == 0 ||
-          !parse_count(sa, kMaxRequestAttackers, &job.spec.attackers) ||
-          job.spec.attackers == 0 ||
-          !parse_count(siters, kMaxIndex, &job.spec.max_iterations) ||
-          !parse_count(soracle, kMaxIndex, &oracle))
-        return parse_error(line_no, "malformed spec counts");
-      job.spec.oracle_node_budget = oracle;
-      if (!parse_finite(stol, &job.spec.tolerance) ||
-          job.spec.tolerance < 0 ||
-          !parse_finite(swall, &job.spec.wall_clock_seconds) ||
-          job.spec.wall_clock_seconds < 0)
-        return parse_error(line_no, "malformed spec numbers");
-    }
-
-    // edges <count> <u v>...
-    if (!next_line()) return parse_error(line_no + 1, "missing 'edges' line");
-    {
-      std::istringstream ls(line);
-      std::string key, count_token;
-      std::size_t count = 0;
-      if (!(ls >> key >> count_token) || key != "edges" ||
-          !parse_count(count_token, kMaxRequestEdges, &count))
-        return parse_error(line_no, "expected 'edges <count> <u v>...'");
-      job.spec.edges.reserve(count);
-      for (std::size_t e = 0; e < count; ++e) {
-        std::string su, sv;
-        std::size_t u = 0, v = 0;
-        if (!(ls >> su >> sv) ||
-            !parse_count(su, kMaxRequestVertices - 1, &u) ||
-            !parse_count(sv, kMaxRequestVertices - 1, &v) ||
-            u >= job.spec.n || v >= job.spec.n || u == v)
-          return parse_error(line_no, "malformed edge list");
-        job.spec.edges.emplace_back(u, v);
-      }
-      if (job.spec.edges.empty())
-        return parse_error(line_no, "job has no edges");
-    }
-
-    // weights <count> <w>...
-    if (!next_line())
-      return parse_error(line_no + 1, "missing 'weights' line");
-    {
-      std::istringstream ls(line);
-      std::string key, count_token;
-      std::size_t count = 0;
-      if (!(ls >> key >> count_token) || key != "weights" ||
-          !parse_count(count_token, kMaxRequestVertices, &count))
-        return parse_error(line_no, "expected 'weights <count> <w>...'");
-      job.spec.weights.reserve(count);
-      for (std::size_t w = 0; w < count; ++w) {
-        std::string token;
-        double x = 0;
-        if (!(ls >> token) || !parse_finite(token, &x) || x < 0)
-          return parse_error(line_no, "malformed weight list");
-        job.spec.weights.push_back(x);
-      }
-      if (engine::is_weighted(job.spec.solver)) {
-        if (job.spec.weights.size() != job.spec.n)
-          return parse_error(line_no, "weighted job needs exactly n weights");
-      } else if (!job.spec.weights.empty()) {
-        return parse_error(line_no, "unweighted job carries weights");
-      }
-    }
-
-    // checkpoint <line-count> then that many verbatim lines
-    if (!next_line())
-      return parse_error(line_no + 1, "missing 'checkpoint' line");
-    {
-      std::istringstream ls(line);
-      std::string key, count_token;
-      std::size_t count = 0;
-      if (!(ls >> key >> count_token) || key != "checkpoint" ||
-          !parse_count(count_token, kMaxDrainCheckpointLines, &count))
-        return parse_error(line_no, "expected 'checkpoint <line-count>'");
-      if (count > 0) {
-        const std::size_t block_start = line_no + 1;
-        std::string block;
-        for (std::size_t c = 0; c < count; ++c) {
-          if (!next_raw_line())
-            return parse_error(line_no + 1, "truncated checkpoint block");
-          block += line;
-          block += '\n';
-        }
-        const Solved<core::SolverCheckpoint> parsed =
-            core::try_parse_checkpoint(block);
-        if (!parsed.status.ok())
-          return parse_error(block_start,
-                             "embedded checkpoint rejected: " +
-                                 parsed.status.message);
-        if (job.spec.solver == engine::JobSolver::kZeroSumLp)
-          return parse_error(block_start,
-                             "zero-sum-lp jobs cannot carry a checkpoint");
-        job.checkpoint_text = std::move(block);
-      }
-    }
-
-    manifest.jobs.push_back(std::move(job));
-  }
-
-  if (!next_line() || line != "end")
-    return parse_error(line_no + 1, "missing 'end' trailer");
-
-  Solved<DrainManifest> out;
-  out.result = std::move(manifest);
-  out.status = Status::make_ok();
-  return out;
+  return util::read_record<DrainManifest>(
+      text, "drain manifest", [](util::RecordReader& r, DrainManifest& m) {
+        std::size_t jobs = 0;
+        if (!(r.header("defender-drain", kDrainManifestVersion) &&
+              r.line("jobs <count>") && r.count(&jobs, kMaxDrainJobs)))
+          return false;
+        m.jobs.reserve(jobs);
+        for (std::size_t i = 0; i < jobs; ++i)
+          if (!read_job(r, m.jobs.emplace_back())) return false;
+        return r.end();
+      });
 }
 
 Status save_drain_manifest_file(const std::string& path,

@@ -10,10 +10,10 @@
 // simply re-run fresh; the engine's determinism contract makes either
 // path produce the same JobResult.
 //
-// Same serialization discipline as checkpoint_v1 and defender-cache v1:
-// %.17g doubles, range-checked counts with allocation caps, kInvalidInput
-// with a 1-based line number, an explicit "end" trailer, and unknown
-// versions rejected — never crashed on.
+// Written and read through the shared record codec (util/record.hpp,
+// docs/FORMATS.md), like checkpoints and the cache store: bit-exact
+// doubles, capped counts, kInvalidInput with a 1-based line number, an
+// explicit "end" trailer, and unknown versions rejected — never crashed on.
 #pragma once
 
 #include <cstddef>

@@ -24,8 +24,8 @@
 //
 // Determinism contract: for jobs whose workers are never killed, run()
 // results are bit-identical to SolveEngine::run / run_serial at any
-// worker count — workers reconstruct each job from its frame with %.17g
-// fidelity and solve with the same ladder, and recovery resumes lean on
+// worker count — workers reconstruct each job from its frame with
+// bit-exact doubles and solve with the same ladder, and recovery resumes lean on
 // the PR-6 "resumed result == uninterrupted result" contract. Crash/kill
 // counters live in SupervisedReport, never inside a JobResult.
 #pragma once

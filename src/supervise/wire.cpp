@@ -2,104 +2,21 @@
 
 #include <unistd.h>
 
-#include <cctype>
+#include <algorithm>
 #include <cerrno>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <sstream>
 
 #include "fault/fault.hpp"
 #include "graph/graph.hpp"
 #include "io/envelope.hpp"
+#include "util/record.hpp"
 
 namespace defender::supervise {
 
 namespace {
 
-template <typename T>
-Solved<T> parse_error(const char* what_frame, std::size_t line,
-                      const std::string& what) {
-  Solved<T> out;
-  out.status = Status::make(StatusCode::kInvalidInput,
-                            std::string(what_frame) + " line " +
-                                std::to_string(line) + ": " + what);
-  return out;
-}
-
-bool parse_count(const std::string& token, std::uint64_t cap,
-                 std::uint64_t* out) {
-  if (token.empty() || token[0] == '-') return false;
-  errno = 0;
-  char* rest = nullptr;
-  const unsigned long long v = std::strtoull(token.c_str(), &rest, 10);
-  if (errno != 0 || rest == token.c_str() || *rest != '\0') return false;
-  if (v > cap) return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-bool parse_size(const std::string& token, std::size_t cap, std::size_t* out) {
-  std::uint64_t v = 0;
-  if (!parse_count(token, cap, &v)) return false;
-  *out = static_cast<std::size_t>(v);
-  return true;
-}
-
-bool parse_finite(const std::string& token, double* out) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* rest = nullptr;
-  const double v = std::strtod(token.c_str(), &rest);
-  if (errno != 0 || rest == token.c_str() || *rest != '\0' ||
-      !std::isfinite(v))
-    return false;
-  *out = v;
-  return true;
-}
-
-bool parse_flag(const std::string& token, bool* out) {
-  if (token == "0") {
-    *out = false;
-    return true;
-  }
-  if (token == "1") {
-    *out = true;
-    return true;
-  }
-  return false;
-}
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-/// Number of '\n'-terminated lines in a verbatim text block.
-std::size_t count_lines(const std::string& text) {
-  std::size_t lines = 0;
-  bool pending = false;
-  for (const char c : text) {
-    pending = true;
-    if (c == '\n') {
-      ++lines;
-      pending = false;
-    }
-  }
-  if (pending) ++lines;
-  return lines;
-}
-
-void emit_block(std::ostringstream& os, const char* key,
-                const std::string& text) {
-  os << key << ' ' << count_lines(text) << '\n';
-  if (!text.empty()) {
-    os << text;
-    if (text.back() != '\n') os << '\n';
-  }
-}
+constexpr std::uint64_t kMaxIndex =
+    std::numeric_limits<std::uint64_t>::max() / 4;
 
 constexpr engine::AttemptAction kAllAttemptActions[] = {
     engine::AttemptAction::kInitial, engine::AttemptAction::kResume,
@@ -107,7 +24,7 @@ constexpr engine::AttemptAction kAllAttemptActions[] = {
     engine::AttemptAction::kFallback,
 };
 
-bool try_parse_attempt_action(const std::string& name,
+bool try_parse_attempt_action(std::string_view name,
                               engine::AttemptAction* out) {
   for (engine::AttemptAction a : kAllAttemptActions) {
     if (name == engine::to_string(a)) {
@@ -118,63 +35,12 @@ bool try_parse_attempt_action(const std::string& name,
   return false;
 }
 
-/// Line-by-line cursor over a payload, mirroring the drain-manifest
-/// parser: next() skips blank lines, next_raw() copies verbatim-block
-/// lines byte for byte.
-struct Cursor {
-  std::istringstream is;
-  std::string line;
-  std::size_t line_no = 0;
-
-  explicit Cursor(const std::string& text) : is(text) {}
-
-  bool next() {
-    while (std::getline(is, line)) {
-      ++line_no;
-      bool blank = true;
-      for (char ch : line)
-        if (!std::isspace(static_cast<unsigned char>(ch))) blank = false;
-      if (!blank) return true;
-    }
-    return false;
-  }
-
-  bool next_raw() {
-    if (!std::getline(is, line)) return false;
-    ++line_no;
-    return true;
-  }
-
-  /// Reads a "<key> <line-count>" header plus that many verbatim lines.
-  bool read_block(const std::string& key, std::string* out,
-                  std::string* what) {
-    if (!next()) {
-      *what = "missing '" + key + "' block";
-      return false;
-    }
-    std::istringstream ls(line);
-    std::string k, count_token;
-    std::size_t lines = 0;
-    if (!(ls >> k >> count_token) || k != key ||
-        !parse_size(count_token, kMaxWireBlockLines, &lines)) {
-      *what = "expected '" + key + " <line-count>'";
-      return false;
-    }
-    out->clear();
-    for (std::size_t i = 0; i < lines; ++i) {
-      if (!next_raw()) {
-        *what = "truncated '" + key + "' block";
-        return false;
-      }
-      out->append(line);
-      out->push_back('\n');
-    }
-    return true;
-  }
-};
-
-constexpr std::uint64_t kMaxIndex =
-    std::numeric_limits<std::uint64_t>::max() / 4;
+/// "job <index> <dispatch>", the second line of every job-scoped frame.
+bool read_job_line(util::RecordReader& r, std::size_t* index,
+                   std::uint64_t* dispatch) {
+  return r.line("job <index> <dispatch>") && r.count(index, kMaxIndex) &&
+         r.count(dispatch, kMaxIndex);
+}
 
 }  // namespace
 
@@ -182,195 +48,84 @@ constexpr std::uint64_t kMaxIndex =
 // JobFrame
 
 std::string to_text(const JobFrame& frame) {
-  std::ostringstream os;
-  os << "supervise-job v1\n";
-  os << "job " << frame.job_index << ' ' << frame.dispatch << '\n';
-  os << "solver " << engine::to_string(frame.solver) << '\n';
-  os << "tolerance " << format_double(frame.tolerance) << '\n';
-  os << "budget " << frame.max_iterations << ' '
-     << format_double(frame.wall_clock_seconds) << ' '
-     << frame.oracle_node_budget << '\n';
-  os << "watchdog " << format_double(frame.watchdog_seconds) << '\n';
-  os << "options " << (frame.collect_convergence ? 1 : 0) << ' '
-     << (frame.canonicalize ? 1 : 0) << '\n';
-  os << "retry " << frame.retry.to_string() << '\n';
-  os << "stream " << format_double(frame.stream_interval_seconds) << '\n';
-  os << "board " << frame.n << ' ' << frame.k << ' ' << frame.attackers
-     << '\n';
-  os << "edges " << frame.edges.size();
-  for (const auto& [u, v] : frame.edges) os << ' ' << u << ' ' << v;
-  os << '\n';
-  os << "weights " << frame.weights.size();
-  for (const double w : frame.weights) os << ' ' << format_double(w);
-  os << '\n';
-  emit_block(os, "fault-plan", frame.fault_plan_text);
-  emit_block(os, "checkpoint", frame.checkpoint_text);
-  os << "end\n";
-  return os.str();
+  util::RecordWriter w;
+  w.header("supervise-job", 1)
+      .line("job", frame.job_index, frame.dispatch)
+      .line("solver", engine::to_string(frame.solver))
+      .line("tolerance", frame.tolerance)
+      .line("budget", frame.max_iterations, frame.wall_clock_seconds,
+            frame.oracle_node_budget)
+      .line("watchdog", frame.watchdog_seconds)
+      .line("options", frame.collect_convergence, frame.canonicalize)
+      .line("retry", frame.retry.to_string())
+      .line("stream", frame.stream_interval_seconds)
+      .line("board", frame.n, frame.k, frame.attackers)
+      .open("edges", frame.edges.size());
+  for (const auto& [u, v] : frame.edges) w.add(u, v);
+  w.close()
+      .list("weights", frame.weights)
+      .block("fault-plan", frame.fault_plan_text)
+      .block("checkpoint", frame.checkpoint_text)
+      .line("end");
+  return w.take();
 }
 
 Solved<JobFrame> try_parse_job_frame(const std::string& text) {
-  const auto err = [](std::size_t line, const std::string& what) {
-    return parse_error<JobFrame>("supervise-job", line, what);
-  };
-  Cursor c(text);
-  if (!c.next()) return err(1, "empty input");
-  if (c.line != "supervise-job v1")
-    return err(c.line_no, "missing 'supervise-job v1' header");
-
-  JobFrame frame;
-  std::string what;
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'job' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, index_token, dispatch_token;
-    std::uint64_t index = 0;
-    if (!(ls >> key >> index_token >> dispatch_token) || key != "job" ||
-        !parse_count(index_token, kMaxIndex, &index) ||
-        !parse_count(dispatch_token, kMaxIndex, &frame.dispatch))
-      return err(c.line_no, "expected 'job <index> <dispatch>'");
-    frame.job_index = static_cast<std::size_t>(index);
-  }
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'solver' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, name;
-    if (!(ls >> key >> name) || key != "solver" ||
-        !engine::try_parse_job_solver(name, &frame.solver))
-      return err(c.line_no, "expected 'solver <name>'");
-  }
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'tolerance' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, value;
-    if (!(ls >> key >> value) || key != "tolerance" ||
-        !parse_finite(value, &frame.tolerance) || frame.tolerance < 0)
-      return err(c.line_no, "expected 'tolerance <non-negative>'");
-  }
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'budget' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, iters, wall, oracle;
-    if (!(ls >> key >> iters >> wall >> oracle) || key != "budget" ||
-        !parse_size(iters, kMaxIndex, &frame.max_iterations) ||
-        !parse_finite(wall, &frame.wall_clock_seconds) ||
-        frame.wall_clock_seconds < 0 ||
-        !parse_count(oracle, kMaxIndex, &frame.oracle_node_budget))
-      return err(c.line_no, "expected 'budget <iters> <wall> <oracle>'");
-  }
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'watchdog' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, value;
-    if (!(ls >> key >> value) || key != "watchdog" ||
-        !parse_finite(value, &frame.watchdog_seconds) ||
-        frame.watchdog_seconds < 0)
-      return err(c.line_no, "expected 'watchdog <seconds>'");
-  }
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'options' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, conv, canon;
-    if (!(ls >> key >> conv >> canon) || key != "options" ||
-        !parse_flag(conv, &frame.collect_convergence) ||
-        !parse_flag(canon, &frame.canonicalize))
-      return err(c.line_no, "expected 'options <0|1> <0|1>'");
-  }
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'retry' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, spec;
-    if (!(ls >> key >> spec) || key != "retry")
-      return err(c.line_no, "expected 'retry <spec>'");
-    Solved<engine::RetryPolicy> parsed = engine::RetryPolicy::try_parse(spec);
-    if (!parsed.ok())
-      return err(c.line_no, "bad retry spec: " + parsed.status.message);
-    frame.retry = parsed.result;
-  }
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'stream' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, value;
-    if (!(ls >> key >> value) || key != "stream" ||
-        !parse_finite(value, &frame.stream_interval_seconds) ||
-        frame.stream_interval_seconds < 0)
-      return err(c.line_no, "expected 'stream <seconds>'");
-  }
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'board' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, sn, sk, sa;
-    if (!(ls >> key >> sn >> sk >> sa) || key != "board" ||
-        !parse_size(sn, kMaxWireVertices, &frame.n) || frame.n == 0 ||
-        !parse_size(sk, kMaxWireEdges, &frame.k) || frame.k == 0 ||
-        !parse_size(sa, kMaxWireVertices, &frame.attackers) ||
-        frame.attackers == 0)
-      return err(c.line_no, "expected 'board <n> <k> <attackers>'");
-  }
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'edges' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, count_token;
-    std::size_t count = 0;
-    if (!(ls >> key >> count_token) || key != "edges" ||
-        !parse_size(count_token, kMaxWireEdges, &count))
-      return err(c.line_no, "expected 'edges <count> [u v ...]'");
-    frame.edges.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      std::string su, sv;
-      std::uint64_t u = 0, v = 0;
-      if (!(ls >> su >> sv) || !parse_count(su, kMaxWireVertices, &u) ||
-          !parse_count(sv, kMaxWireVertices, &v))
-        return err(c.line_no, "malformed edge list");
-      frame.edges.emplace_back(static_cast<std::uint32_t>(u),
-                               static_cast<std::uint32_t>(v));
-    }
-    std::string extra;
-    if (ls >> extra) return err(c.line_no, "trailing tokens on 'edges'");
-  }
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'weights' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, count_token;
-    std::size_t count = 0;
-    if (!(ls >> key >> count_token) || key != "weights" ||
-        !parse_size(count_token, kMaxWireVertices, &count))
-      return err(c.line_no, "expected 'weights <count> [w ...]'");
-    frame.weights.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      std::string sw;
-      double w = 0;
-      if (!(ls >> sw) || !parse_finite(sw, &w))
-        return err(c.line_no, "malformed weight list");
-      frame.weights.push_back(w);
-    }
-    std::string extra;
-    if (ls >> extra) return err(c.line_no, "trailing tokens on 'weights'");
-  }
-
-  if (!c.read_block("fault-plan", &frame.fault_plan_text, &what))
-    return err(c.line_no, what);
-  if (!c.read_block("checkpoint", &frame.checkpoint_text, &what))
-    return err(c.line_no, what);
-
-  if (!c.next() || c.line != "end")
-    return err(c.line_no + 1, "missing 'end' trailer");
-
-  Solved<JobFrame> out;
-  out.result = std::move(frame);
-  out.status = Status::make_ok();
-  return out;
+  return util::read_record<JobFrame>(
+      text, "supervise-job", [](util::RecordReader& r, JobFrame& frame) {
+        std::string retry;
+        std::size_t edges = 0;
+        if (!(r.header("supervise-job", 1) &&
+              read_job_line(r, &frame.job_index, &frame.dispatch) &&
+              r.line("solver <name>") &&
+              r.name(&frame.solver, engine::try_parse_job_solver) &&
+              r.line("tolerance <non-negative>") &&
+              r.number(&frame.tolerance) && r.check(frame.tolerance >= 0) &&
+              r.line("budget <iters> <wall> <oracle>") &&
+              r.count(&frame.max_iterations, kMaxIndex) &&
+              r.number(&frame.wall_clock_seconds) &&
+              r.check(frame.wall_clock_seconds >= 0) &&
+              r.count(&frame.oracle_node_budget, kMaxIndex) &&
+              r.line("watchdog <seconds>") &&
+              r.number(&frame.watchdog_seconds) &&
+              r.check(frame.watchdog_seconds >= 0) &&
+              r.line("options <0|1> <0|1>") &&
+              r.flag(&frame.collect_convergence) &&
+              r.flag(&frame.canonicalize) && r.line("retry <spec>") &&
+              r.word(&retry)))
+          return false;
+        Solved<engine::RetryPolicy> policy =
+            engine::RetryPolicy::try_parse(retry);
+        if (!policy.ok())
+          return r.fail("bad retry spec: " + policy.status.message);
+        frame.retry = policy.result;
+        if (!(r.line("stream <seconds>") &&
+              r.number(&frame.stream_interval_seconds) &&
+              r.check(frame.stream_interval_seconds >= 0) &&
+              r.line("board <n> <k> <attackers>") &&
+              r.count(&frame.n, kMaxWireVertices) && r.check(frame.n > 0) &&
+              r.count(&frame.k, kMaxWireEdges) && r.check(frame.k > 0) &&
+              r.count(&frame.attackers, kMaxWireVertices) &&
+              r.check(frame.attackers > 0) &&
+              r.line("edges <count> [u v ...]") &&
+              r.count(&edges, kMaxWireEdges)))
+          return false;
+        frame.edges.reserve(edges);
+        for (std::size_t i = 0; i < edges; ++i) {
+          std::uint32_t u = 0, v = 0;
+          if (!r.count(&u, kMaxWireVertices) ||
+              !r.count(&v, kMaxWireVertices))
+            return false;
+          frame.edges.emplace_back(u, v);
+        }
+        return r.line("weights <count> [w ...]") &&
+               r.list(&frame.weights, kMaxWireVertices) &&
+               r.block("fault-plan <line-count>", kMaxWireBlockLines,
+                       &frame.fault_plan_text) &&
+               r.block("checkpoint <line-count>", kMaxWireBlockLines,
+                       &frame.checkpoint_text) &&
+               r.end();
+      });
 }
 
 JobFrame frame_from_job(const engine::SolveJob& job, std::size_t job_index,
@@ -440,243 +195,116 @@ Status job_from_frame(const JobFrame& frame,
 
 std::string to_text(const ResultFrame& frame) {
   const engine::JobResult& r = frame.result;
-  std::ostringstream os;
-  os << "supervise-result v1\n";
-  os << "job " << frame.job_index << ' ' << frame.dispatch << '\n';
-  os << "solver " << engine::to_string(r.solver) << '\n';
-  os << "status " << defender::to_string(r.status.code) << ' '
-     << r.status.iterations << ' ' << format_double(r.status.residual) << ' '
-     << format_double(r.status.elapsed_seconds) << '\n';
-  os << "message";
-  if (!r.status.message.empty()) os << ' ' << r.status.message;
-  os << '\n';
-  os << "value " << format_double(r.value) << ' '
-     << format_double(r.lower_bound) << ' ' << format_double(r.upper_bound)
-     << '\n';
-  os << "iterations " << r.iterations << '\n';
-  os << "flags " << (r.fallback_used ? 1 : 0) << ' '
-     << (r.watchdog_killed ? 1 : 0) << ' ' << r.faults_injected << ' '
-     << r.convergence_samples << '\n';
-  os << "attempts " << r.attempts.size() << '\n';
-  for (const engine::AttemptRecord& a : r.attempts) {
-    os << "attempt " << a.attempt << ' ' << engine::to_string(a.action)
-       << ' ' << engine::to_string(a.solver) << ' '
-       << defender::to_string(a.outcome) << ' ' << format_double(a.value)
-       << ' ' << format_double(a.lower) << ' ' << format_double(a.upper)
-       << ' ' << a.iterations << ' ' << format_double(a.elapsed_seconds)
-       << '\n';
+  util::RecordWriter w;
+  w.header("supervise-result", 1)
+      .line("job", frame.job_index, frame.dispatch)
+      .line("solver", engine::to_string(r.solver))
+      .line("status", defender::to_string(r.status.code),
+            r.status.iterations, r.status.residual,
+            r.status.elapsed_seconds);
+  if (r.status.message.empty()) {
+    w.line("message");
+  } else {
+    w.line("message", r.status.message);
   }
-  emit_block(os, "checkpoint", frame.checkpoint_text);
-  os << "end\n";
-  return os.str();
+  w.line("value", r.value, r.lower_bound, r.upper_bound)
+      .line("iterations", r.iterations)
+      .line("flags", r.fallback_used, r.watchdog_killed, r.faults_injected,
+            r.convergence_samples)
+      .line("attempts", r.attempts.size());
+  for (const engine::AttemptRecord& a : r.attempts)
+    w.line("attempt", a.attempt, engine::to_string(a.action),
+           engine::to_string(a.solver), defender::to_string(a.outcome),
+           a.value, a.lower, a.upper, a.iterations, a.elapsed_seconds);
+  w.block("checkpoint", frame.checkpoint_text).line("end");
+  return w.take();
 }
 
 Solved<ResultFrame> try_parse_result_frame(const std::string& text) {
-  const auto err = [](std::size_t line, const std::string& what) {
-    return parse_error<ResultFrame>("supervise-result", line, what);
-  };
-  Cursor c(text);
-  if (!c.next()) return err(1, "empty input");
-  if (c.line != "supervise-result v1")
-    return err(c.line_no, "missing 'supervise-result v1' header");
-
-  ResultFrame frame;
-  engine::JobResult& r = frame.result;
-  std::string what;
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'job' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, index_token, dispatch_token;
-    std::uint64_t index = 0;
-    if (!(ls >> key >> index_token >> dispatch_token) || key != "job" ||
-        !parse_count(index_token, kMaxIndex, &index) ||
-        !parse_count(dispatch_token, kMaxIndex, &frame.dispatch))
-      return err(c.line_no, "expected 'job <index> <dispatch>'");
-    frame.job_index = static_cast<std::size_t>(index);
-    r.job_index = frame.job_index;
-  }
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'solver' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, name;
-    if (!(ls >> key >> name) || key != "solver" ||
-        !engine::try_parse_job_solver(name, &r.solver))
-      return err(c.line_no, "expected 'solver <name>'");
-  }
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'status' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, code, iters, residual, elapsed;
-    std::size_t it = 0;
-    if (!(ls >> key >> code >> iters >> residual >> elapsed) ||
-        key != "status" || !try_parse_status_code(code, &r.status.code) ||
-        !parse_size(iters, kMaxIndex, &it) ||
-        !parse_finite(residual, &r.status.residual) ||
-        !parse_finite(elapsed, &r.status.elapsed_seconds))
-      return err(c.line_no,
-                 "expected 'status <code> <iters> <residual> <elapsed>'");
-    r.status.iterations = it;
-  }
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'message' line");
-  {
-    if (c.line.rfind("message", 0) != 0)
-      return err(c.line_no, "expected 'message [text]'");
-    if (c.line.size() > 8)
-      r.status.message = c.line.substr(8);
-    else if (c.line != "message" && c.line != "message ")
-      return err(c.line_no, "expected 'message [text]'");
-  }
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'value' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, sv, sl, su;
-    if (!(ls >> key >> sv >> sl >> su) || key != "value" ||
-        !parse_finite(sv, &r.value) || !parse_finite(sl, &r.lower_bound) ||
-        !parse_finite(su, &r.upper_bound))
-      return err(c.line_no, "expected 'value <v> <lower> <upper>'");
-  }
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'iterations' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, token;
-    if (!(ls >> key >> token) || key != "iterations" ||
-        !parse_size(token, kMaxIndex, &r.iterations))
-      return err(c.line_no, "expected 'iterations <n>'");
-  }
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'flags' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, fb, wd, faults, conv;
-    if (!(ls >> key >> fb >> wd >> faults >> conv) || key != "flags" ||
-        !parse_flag(fb, &r.fallback_used) ||
-        !parse_flag(wd, &r.watchdog_killed) ||
-        !parse_count(faults, kMaxIndex, &r.faults_injected) ||
-        !parse_size(conv, kMaxIndex, &r.convergence_samples))
-      return err(c.line_no,
-                 "expected 'flags <fallback> <watchdog> <faults> <conv>'");
-  }
-
-  if (!c.next()) return err(c.line_no + 1, "missing 'attempts' line");
-  std::size_t attempt_count = 0;
-  {
-    std::istringstream ls(c.line);
-    std::string key, token;
-    if (!(ls >> key >> token) || key != "attempts" ||
-        !parse_size(token, kMaxWireAttempts, &attempt_count))
-      return err(c.line_no, "expected 'attempts <count>'");
-  }
-  r.attempts.reserve(attempt_count);
-  for (std::size_t i = 0; i < attempt_count; ++i) {
-    if (!c.next()) return err(c.line_no + 1, "truncated attempt list");
-    std::istringstream ls(c.line);
-    std::string key, sattempt, saction, ssolver, soutcome, sv, sl, su, sit,
-        selapsed;
-    engine::AttemptRecord a;
-    if (!(ls >> key >> sattempt >> saction >> ssolver >> soutcome >> sv >>
-          sl >> su >> sit >> selapsed) ||
-        key != "attempt" || !parse_size(sattempt, kMaxIndex, &a.attempt) ||
-        !try_parse_attempt_action(saction, &a.action) ||
-        !engine::try_parse_job_solver(ssolver, &a.solver) ||
-        !try_parse_status_code(soutcome, &a.outcome) ||
-        !parse_finite(sv, &a.value) || !parse_finite(sl, &a.lower) ||
-        !parse_finite(su, &a.upper) ||
-        !parse_size(sit, kMaxIndex, &a.iterations) ||
-        !parse_finite(selapsed, &a.elapsed_seconds))
-      return err(c.line_no, "malformed 'attempt' line");
-    r.attempts.push_back(a);
-  }
-
-  if (!c.read_block("checkpoint", &frame.checkpoint_text, &what))
-    return err(c.line_no, what);
-
-  if (!c.next() || c.line != "end")
-    return err(c.line_no + 1, "missing 'end' trailer");
-
-  Solved<ResultFrame> out;
-  out.result = std::move(frame);
-  out.status = Status::make_ok();
-  return out;
+  return util::read_record<ResultFrame>(
+      text, "supervise-result", [](util::RecordReader& r, ResultFrame& frame) {
+        engine::JobResult& res = frame.result;
+        std::size_t attempts = 0;
+        if (!(r.header("supervise-result", 1) &&
+              read_job_line(r, &frame.job_index, &frame.dispatch) &&
+              r.line("solver <name>") &&
+              r.name(&res.solver, engine::try_parse_job_solver) &&
+              r.line("status <code> <iters> <residual> <elapsed>") &&
+              r.name(&res.status.code, try_parse_status_code) &&
+              r.count(&res.status.iterations, kMaxIndex) &&
+              r.number(&res.status.residual) &&
+              r.number(&res.status.elapsed_seconds) &&
+              r.line("message [text]") && r.rest(&res.status.message) &&
+              r.line("value <v> <lower> <upper>") && r.number(&res.value) &&
+              r.number(&res.lower_bound) && r.number(&res.upper_bound) &&
+              r.line("iterations <n>") && r.count(&res.iterations, kMaxIndex) &&
+              r.line("flags <fallback> <watchdog> <faults> <conv>") &&
+              r.flag(&res.fallback_used) && r.flag(&res.watchdog_killed) &&
+              r.count(&res.faults_injected, kMaxIndex) &&
+              r.count(&res.convergence_samples, kMaxIndex) &&
+              r.line("attempts <count>") &&
+              r.count(&attempts, kMaxWireAttempts)))
+          return false;
+        res.job_index = frame.job_index;
+        res.attempts.resize(attempts);
+        for (engine::AttemptRecord& a : res.attempts) {
+          if (!(r.line("attempt <n> <action> <solver> <outcome> <value> "
+                       "<lower> <upper> <iterations> <elapsed>",
+                       "truncated attempt list") &&
+                r.count(&a.attempt, kMaxIndex) &&
+                r.name(&a.action, try_parse_attempt_action) &&
+                r.name(&a.solver, engine::try_parse_job_solver) &&
+                r.name(&a.outcome, try_parse_status_code) &&
+                r.number(&a.value) && r.number(&a.lower) &&
+                r.number(&a.upper) && r.count(&a.iterations, kMaxIndex) &&
+                r.number(&a.elapsed_seconds)))
+            return false;
+        }
+        return r.block("checkpoint <line-count>", kMaxWireBlockLines,
+                       &frame.checkpoint_text) &&
+               r.end();
+      });
 }
 
 // ---------------------------------------------------------------------------
 // HeartbeatFrame / CheckpointFrame / CancelFrame / HelloFrame
 
 std::string to_text(const HeartbeatFrame& frame) {
-  std::ostringstream os;
-  os << "supervise-heartbeat v1\nseq " << frame.sequence << "\nend\n";
-  return os.str();
+  return util::RecordWriter()
+      .header("supervise-heartbeat", 1)
+      .line("seq", frame.sequence)
+      .line("end")
+      .take();
 }
 
 Solved<HeartbeatFrame> try_parse_heartbeat_frame(const std::string& text) {
-  const auto err = [](std::size_t line, const std::string& what) {
-    return parse_error<HeartbeatFrame>("supervise-heartbeat", line, what);
-  };
-  Cursor c(text);
-  if (!c.next()) return err(1, "empty input");
-  if (c.line != "supervise-heartbeat v1")
-    return err(c.line_no, "missing 'supervise-heartbeat v1' header");
-  HeartbeatFrame frame;
-  if (!c.next()) return err(c.line_no + 1, "missing 'seq' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, token;
-    if (!(ls >> key >> token) || key != "seq" ||
-        !parse_count(token, kMaxIndex, &frame.sequence))
-      return err(c.line_no, "expected 'seq <n>'");
-  }
-  if (!c.next() || c.line != "end")
-    return err(c.line_no + 1, "missing 'end' trailer");
-  Solved<HeartbeatFrame> out;
-  out.result = frame;
-  out.status = Status::make_ok();
-  return out;
+  return util::read_record<HeartbeatFrame>(
+      text, "supervise-heartbeat",
+      [](util::RecordReader& r, HeartbeatFrame& frame) {
+        return r.header("supervise-heartbeat", 1) && r.line("seq <n>") &&
+               r.count(&frame.sequence, kMaxIndex) && r.end();
+      });
 }
 
 std::string to_text(const CheckpointFrame& frame) {
-  std::ostringstream os;
-  os << "supervise-checkpoint v1\n";
-  os << "job " << frame.job_index << ' ' << frame.dispatch << '\n';
-  emit_block(os, "checkpoint", frame.checkpoint_text);
-  os << "end\n";
-  return os.str();
+  return util::RecordWriter()
+      .header("supervise-checkpoint", 1)
+      .line("job", frame.job_index, frame.dispatch)
+      .block("checkpoint", frame.checkpoint_text)
+      .line("end")
+      .take();
 }
 
 Solved<CheckpointFrame> try_parse_checkpoint_frame(const std::string& text) {
-  const auto err = [](std::size_t line, const std::string& what) {
-    return parse_error<CheckpointFrame>("supervise-checkpoint", line, what);
-  };
-  Cursor c(text);
-  if (!c.next()) return err(1, "empty input");
-  if (c.line != "supervise-checkpoint v1")
-    return err(c.line_no, "missing 'supervise-checkpoint v1' header");
-  CheckpointFrame frame;
-  std::string what;
-  if (!c.next()) return err(c.line_no + 1, "missing 'job' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, index_token, dispatch_token;
-    std::uint64_t index = 0;
-    if (!(ls >> key >> index_token >> dispatch_token) || key != "job" ||
-        !parse_count(index_token, kMaxIndex, &index) ||
-        !parse_count(dispatch_token, kMaxIndex, &frame.dispatch))
-      return err(c.line_no, "expected 'job <index> <dispatch>'");
-    frame.job_index = static_cast<std::size_t>(index);
-  }
-  if (!c.read_block("checkpoint", &frame.checkpoint_text, &what))
-    return err(c.line_no, what);
-  if (!c.next() || c.line != "end")
-    return err(c.line_no + 1, "missing 'end' trailer");
-  Solved<CheckpointFrame> out;
-  out.result = std::move(frame);
-  out.status = Status::make_ok();
-  return out;
+  return util::read_record<CheckpointFrame>(
+      text, "supervise-checkpoint",
+      [](util::RecordReader& r, CheckpointFrame& frame) {
+        return r.header("supervise-checkpoint", 1) &&
+               read_job_line(r, &frame.job_index, &frame.dispatch) &&
+               r.block("checkpoint <line-count>", kMaxWireBlockLines,
+                       &frame.checkpoint_text) &&
+               r.end();
+      });
 }
 
 bool try_parse_cancel_reason(std::string_view name, CancelReason* out) {
@@ -691,81 +319,42 @@ bool try_parse_cancel_reason(std::string_view name, CancelReason* out) {
 }
 
 std::string to_text(const CancelFrame& frame) {
-  std::ostringstream os;
-  os << "supervise-cancel v1\n";
-  os << "job " << frame.job_index << ' ' << frame.dispatch << '\n';
-  os << "reason " << to_string(frame.reason) << '\n';
-  os << "end\n";
-  return os.str();
+  return util::RecordWriter()
+      .header("supervise-cancel", 1)
+      .line("job", frame.job_index, frame.dispatch)
+      .line("reason", to_string(frame.reason))
+      .line("end")
+      .take();
 }
 
 Solved<CancelFrame> try_parse_cancel_frame(const std::string& text) {
-  const auto err = [](std::size_t line, const std::string& what) {
-    return parse_error<CancelFrame>("supervise-cancel", line, what);
-  };
-  Cursor c(text);
-  if (!c.next()) return err(1, "empty input");
-  if (c.line != "supervise-cancel v1")
-    return err(c.line_no, "missing 'supervise-cancel v1' header");
-  CancelFrame frame;
-  if (!c.next()) return err(c.line_no + 1, "missing 'job' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, index_token, dispatch_token;
-    std::uint64_t index = 0;
-    if (!(ls >> key >> index_token >> dispatch_token) || key != "job" ||
-        !parse_count(index_token, kMaxIndex, &index) ||
-        !parse_count(dispatch_token, kMaxIndex, &frame.dispatch))
-      return err(c.line_no, "expected 'job <index> <dispatch>'");
-    frame.job_index = static_cast<std::size_t>(index);
-  }
-  if (!c.next()) return err(c.line_no + 1, "missing 'reason' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, name;
-    if (!(ls >> key >> name) || key != "reason" ||
-        !try_parse_cancel_reason(name, &frame.reason))
-      return err(c.line_no, "expected 'reason <watchdog|external|shutdown>'");
-  }
-  if (!c.next() || c.line != "end")
-    return err(c.line_no + 1, "missing 'end' trailer");
-  Solved<CancelFrame> out;
-  out.result = frame;
-  out.status = Status::make_ok();
-  return out;
+  return util::read_record<CancelFrame>(
+      text, "supervise-cancel", [](util::RecordReader& r, CancelFrame& frame) {
+        return r.header("supervise-cancel", 1) &&
+               read_job_line(r, &frame.job_index, &frame.dispatch) &&
+               r.line("reason <watchdog|external|shutdown>") &&
+               r.name(&frame.reason, try_parse_cancel_reason) && r.end();
+      });
 }
 
 std::string to_text(const HelloFrame& frame) {
-  std::ostringstream os;
-  os << "supervise-hello v1\npid " << frame.pid << "\nend\n";
-  return os.str();
+  return util::RecordWriter()
+      .header("supervise-hello", 1)
+      .line("pid", frame.pid)
+      .line("end")
+      .take();
 }
 
 Solved<HelloFrame> try_parse_hello_frame(const std::string& text) {
-  const auto err = [](std::size_t line, const std::string& what) {
-    return parse_error<HelloFrame>("supervise-hello", line, what);
-  };
-  Cursor c(text);
-  if (!c.next()) return err(1, "empty input");
-  if (c.line != "supervise-hello v1")
-    return err(c.line_no, "missing 'supervise-hello v1' header");
-  HelloFrame frame;
-  if (!c.next()) return err(c.line_no + 1, "missing 'pid' line");
-  {
-    std::istringstream ls(c.line);
-    std::string key, token;
-    std::uint64_t pid = 0;
-    if (!(ls >> key >> token) || key != "pid" ||
-        !parse_count(token, kMaxIndex, &pid))
-      return err(c.line_no, "expected 'pid <n>'");
-    frame.pid = static_cast<std::int64_t>(pid);
-  }
-  if (!c.next() || c.line != "end")
-    return err(c.line_no + 1, "missing 'end' trailer");
-  Solved<HelloFrame> out;
-  out.result = frame;
-  out.status = Status::make_ok();
-  return out;
+  return util::read_record<HelloFrame>(
+      text, "supervise-hello", [](util::RecordReader& r, HelloFrame& frame) {
+        std::uint64_t pid = 0;
+        if (!(r.header("supervise-hello", 1) && r.line("pid <n>") &&
+              r.count(&pid, kMaxIndex) && r.end()))
+          return false;
+        frame.pid = static_cast<std::int64_t>(pid);
+        return true;
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -841,7 +430,8 @@ FrameReader::Next FrameReader::next(Frame* out, std::string* error) {
   if (bytes_line.rfind("bytes ", 0) != 0)
     return fail("malformed frame 'bytes' line");
   std::uint64_t declared = 0;
-  if (!parse_count(bytes_line.substr(6), io::kMaxArtifactBytes, &declared))
+  if (!util::parse_count(std::string_view(bytes_line).substr(6),
+                         io::kMaxArtifactBytes, &declared))
     return fail("frame declares an invalid payload size");
 
   // crc32c <8 hex>\n end\n

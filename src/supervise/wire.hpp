@@ -2,18 +2,18 @@
 //
 // Jobs, results, heartbeats, streamed checkpoints, and cancel requests
 // travel between the supervisor and its worker processes over pipes. Each
-// message is a line-oriented text payload (same hardened-parse idiom as
-// "defender-drain v1") sealed in a PR-8 "defender-artifact v1" envelope,
-// so a torn or garbled frame — a worker killed mid-write, a stray byte on
-// the pipe — is *detected* by byte-exact framing plus CRC32C, never
-// trusted (docs/SUPERVISION.md). Pipes carry no legacy data, so unlike
+// message is a line-record payload (util/record.hpp, docs/FORMATS.md)
+// sealed in a PR-8 "defender-artifact v1" envelope, so a torn or garbled
+// frame — a worker killed mid-write, a stray byte on the pipe — is
+// *detected* by byte-exact framing plus CRC32C, never trusted
+// (docs/SUPERVISION.md). Pipes carry no legacy data, so unlike
 // the on-disk loaders the FrameReader here rejects anything that does not
 // begin with an envelope header.
 //
 // Determinism: JobFrame serializes every field of a SolveJob that affects
 // its JobResult (solver, tolerance, budget, weights, board, fault plan,
-// retry spec, convergence/canonicalize flags) with %.17g doubles, so the
-// worker reconstructs a bit-identical job and the process-mode result for
+// retry spec, convergence/canonicalize flags) with bit-exact doubles, so
+// the worker reconstructs a bit-identical job and the process-mode result for
 // a non-faulted job equals the in-process one bit for bit.
 #pragma once
 

@@ -14,6 +14,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/record.hpp"
+
 namespace defender::util {
 
 /// Escapes `s` for inclusion inside a JSON string literal (surrounding
@@ -48,14 +50,12 @@ inline std::string json_string(std::string_view s) {
   return "\"" + json_escape(s) + "\"";
 }
 
-/// Renders a double as a JSON number with %.17g (bit-exact round trip
-/// through strtod). NaN/Inf are not representable in JSON; they become
-/// null (consumers treat null as "not measured").
+/// Renders a double as a JSON number through the record codec's writer
+/// (bit-exact round trip, util/record.hpp). NaN/Inf are not representable
+/// in JSON; they become null (consumers treat null as "not measured").
 inline std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  return format_double(v);
 }
 
 /// Builds one JSON object member-by-member, keys in call order. The same

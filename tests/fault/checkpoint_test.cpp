@@ -100,6 +100,17 @@ TEST(CheckpointText, RoundTripsBitExactly) {
   expect_checkpoints_equal(parsed.result, cp);
 }
 
+TEST(CheckpointText, SubnormalStateRoundTrips) {
+  // The smallest subnormal and the largest one: strtod flags both with
+  // ERANGE, which once made a valid checkpoint unreadable.
+  core::SolverCheckpoint cp = golden_checkpoint();
+  cp.attacker_history = {4.9406564584124654e-324, 2.2250738585072009e-308};
+  cp.best_lower = 1e-310;
+  const auto parsed = core::try_parse_checkpoint(core::to_text(cp));
+  ASSERT_TRUE(parsed.ok()) << parsed.status.to_string();
+  expect_checkpoints_equal(parsed.result, cp);
+}
+
 TEST(CheckpointText, GoldenSnapshotIsStable) {
   const std::string golden_path =
       std::string(DEFENDER_TEST_DATA_DIR) + "/checkpoint_v1.golden.txt";

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/atuple.hpp"
 #include "core/characterization.hpp"
@@ -50,6 +51,10 @@ std::vector<SweepCase> sweep_cases() {
                          g, k, nu});
   return cases;
 }
+
+// Test names print the parameter; the default printer dumps the object's
+// bytes, heap pointers included, so no two runs would list the same names.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.label; }
 
 class FamilySweep : public ::testing::TestWithParam<SweepCase> {};
 

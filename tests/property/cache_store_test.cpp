@@ -119,6 +119,23 @@ TEST(CacheGolden, GoldenReloadsAndReserializesIdentically) {
   }
 }
 
+TEST(CacheGolden, SubnormalPayloadRoundTrips) {
+  CachedSolve e = golden_entries()[1];
+  e.residual = 4.9406564584124654e-324;
+  e.weights[3] = 2.2250738585072009e-308;
+  SolveCache cache;
+  cache.store(key_from_entry(e), e);
+  ASSERT_EQ(cache.size(), 1u);
+  SolveCache reloaded;
+  const Status merged = reloaded.merge_text(cache.to_text());
+  ASSERT_TRUE(merged.ok()) << merged.describe();
+  const std::optional<CachedSolve> hit = reloaded.lookup(key_from_entry(e));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->residual, e.residual);
+  EXPECT_EQ(hit->weights, e.weights);
+  EXPECT_EQ(reloaded.to_text(), cache.to_text());
+}
+
 // A minimal valid single-entry store, line-numbered for the hostile tests:
 //  1 defender-cache v1      6 params ...     11 value ...
 //  2 entries 1              7 edges ...      12 attempt ...

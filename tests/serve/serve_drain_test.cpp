@@ -116,6 +116,24 @@ TEST(DrainManifest, RoundTripsJobsWithAndWithoutCheckpoints) {
   EXPECT_EQ(to_text(parsed.result), text);
 }
 
+TEST(DrainManifest, SubnormalWeightsRoundTrip) {
+  DrainManifest manifest;
+  DrainedJob job;
+  job.client = "c";
+  job.request_id = "r";
+  job.spec = cycle_request("c", "r", 4,
+                           engine::JobSolver::kWeightedFictitiousPlay, 60);
+  job.spec.weights = {1.0, 4.9406564584124654e-324, 1e-310, 0.5};
+  manifest.jobs.push_back(job);
+
+  const std::string text = to_text(manifest);
+  const Solved<DrainManifest> parsed = try_parse_drain_manifest(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status.to_string();
+  ASSERT_EQ(parsed.result.jobs.size(), 1u);
+  EXPECT_EQ(parsed.result.jobs[0].spec.weights, job.spec.weights);
+  EXPECT_EQ(to_text(parsed.result), text);
+}
+
 TEST(DrainManifest, EmptyManifestRoundTrips) {
   const DrainManifest empty;
   const Solved<DrainManifest> parsed =

@@ -10,12 +10,15 @@
 //     learning dynamics via their certified brackets), and budget-starved
 //     solves must still return sound bounds without throwing.
 //
-//  2. Mutational fuzzing of the hardened parsers: valid edge lists and
-//     configuration documents mutated by byte flips, truncations, token
-//     swaps, and hostile-count injection, fed to try_parse_edge_list /
-//     try_from_text. Any outcome is acceptable except a crash, an
-//     uncaught non-ContractViolation exception, or an outsized
-//     allocation.
+//  2. Mutational fuzzing of every hardened text format: edge lists and
+//     the byte golden of every record format (tests/data/*.golden.txt:
+//     checkpoints, configurations, cache stores, drain manifests, fault
+//     plans and the six supervise-* frames) mutated by byte flips,
+//     truncations, token swaps and hostile-count injection, then fed to
+//     every parser. Any outcome is acceptable except a crash, an uncaught
+//     non-ContractViolation exception, an outsized allocation, or an
+//     accepted input whose re-serialization is not a parse/write fixed
+//     point.
 //
 // With --trace FILE.jsonl every differential solve runs with a global
 // ObsContext (JSONL tracing + metrics); CI uploads the resulting trace as
@@ -44,10 +47,6 @@
 // JobResult must stay bit-identical to a cache-less canonicalized run of
 // the same batch, and no ARMED-fault job may ever populate the cache (a
 // key present in the cache must be owned by a clean unfaulted job).
-//
-// The parser fuzz stage also feeds mutated "defender-cache v1" documents
-// to SolveCache::merge_text: any outcome but a crash/throw is fine, and
-// whatever loads must re-serialize and re-parse losslessly.
 //
 // Serve fuzz mode (--serve-fuzz N): N mutated request lines and drain
 // manifests through the hardened serve parsers (parse_json,
@@ -93,6 +92,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -127,6 +127,7 @@
 #include "sim/fictitious_play.hpp"
 #include "sim/multiplicative_weights.hpp"
 #include "supervise/supervisor.hpp"
+#include "supervise/wire.hpp"
 #include "supervise/worker.hpp"
 #include "util/assert.hpp"
 #include "util/random.hpp"
@@ -437,49 +438,116 @@ void mutate(std::string& text, util::Rng& rng) {
   if (text.size() > kMaxFuzzBytes) text.resize(kMaxFuzzBytes);
 }
 
-/// A small but block-complete "defender-cache v1" document (weights,
-/// profiles, checkpoint) as the fuzz seed for SolveCache::merge_text.
-std::string cache_seed_document() {
-  cache::SolveCache seed;
-  cache::CachedSolve e;
-  e.n = 4;
-  e.k = 2;
-  e.num_attackers = 1;
-  e.solver = "weighted-double-oracle";
-  e.tolerance = 1e-9;
-  e.max_iterations = 60;
-  e.edges = {{0, 1}, {1, 2}, {2, 3}};
-  e.weights = {2.0, 1.0, 1.0, 1.5};
-  e.message = "converged";
-  e.iterations = 6;
-  e.value = e.lower = e.upper = 0.5;
-  e.attempt_value = e.attempt_lower = e.attempt_upper = 0.5;
-  e.has_profiles = true;
-  e.defender_support = {{0, 2}, {1, 2}};
-  e.defender_probs = {0.5, 0.5};
-  e.attacker_support = {0, 3};
-  e.attacker_probs = {0.5, 0.5};
-  e.checkpoint_text = "defender-checkpoint v1\nkind weighted-double-oracle\n";
-  seed.store(cache::key_from_entry(e), e);
-  return seed.to_text();
+/// One hardened text format under fuzz: parses an input and, when the
+/// parser accepts it, returns its re-serialization.
+struct FuzzFormat {
+  const char* name;
+  std::function<std::optional<std::string>(const std::string&)> rewrite;
+};
+
+template <typename T, typename Write>
+std::optional<std::string> rewrite_if_ok(const Solved<T>& parsed,
+                                         Write write) {
+  if (!parsed.ok()) return std::nullopt;
+  return write(parsed.result);
+}
+
+std::vector<FuzzFormat> fuzz_formats(const core::TupleGame& config_game) {
+  const auto job = [](const auto& x) { return supervise::to_text(x); };
+  return {
+      {"edge list",
+       [](const std::string& in) {
+         return rewrite_if_ok(graph::try_parse_edge_list(in),
+                              graph::to_edge_list);
+       }},
+      {"configuration",
+       [&config_game](const std::string& in) {
+         return rewrite_if_ok(core::try_from_text(config_game, in),
+                              [&](const core::MixedConfiguration& c) {
+                                return core::to_text(config_game, c);
+                              });
+       }},
+      {"cache store",
+       [](const std::string& in) -> std::optional<std::string> {
+         cache::SolveCache cache;
+         if (!cache.merge_text(in).ok()) return std::nullopt;
+         return cache.to_text();
+       }},
+      {"checkpoint",
+       [](const std::string& in) {
+         return rewrite_if_ok(core::try_parse_checkpoint(in),
+                              [](const core::SolverCheckpoint& cp) {
+                                return core::to_text(cp);
+                              });
+       }},
+      {"fault plan",
+       [](const std::string& in) {
+         return rewrite_if_ok(fault::FaultPlan::try_parse(in),
+                              [](const fault::FaultPlan& plan) {
+                                return plan.to_text();
+                              });
+       }},
+      {"drain manifest",
+       [](const std::string& in) {
+         return rewrite_if_ok(serve::try_parse_drain_manifest(in),
+                              [](const serve::DrainManifest& m) {
+                                return serve::to_text(m);
+                              });
+       }},
+      {"supervise-job",
+       [job](const std::string& in) {
+         return rewrite_if_ok(supervise::try_parse_job_frame(in), job);
+       }},
+      {"supervise-result",
+       [job](const std::string& in) {
+         return rewrite_if_ok(supervise::try_parse_result_frame(in), job);
+       }},
+      {"supervise-heartbeat",
+       [job](const std::string& in) {
+         return rewrite_if_ok(supervise::try_parse_heartbeat_frame(in), job);
+       }},
+      {"supervise-checkpoint",
+       [job](const std::string& in) {
+         return rewrite_if_ok(supervise::try_parse_checkpoint_frame(in), job);
+       }},
+      {"supervise-cancel",
+       [job](const std::string& in) {
+         return rewrite_if_ok(supervise::try_parse_cancel_frame(in), job);
+       }},
+      {"supervise-hello",
+       [job](const std::string& in) {
+         return rewrite_if_ok(supervise::try_parse_hello_frame(in), job);
+       }},
+  };
+}
+
+/// The committed byte goldens of every record format (tests/data).
+std::vector<std::string> golden_documents() {
+  std::vector<std::string> docs;
+  for (const char* name :
+       {"checkpoint_v1", "cache_v1", "drain_v1", "configuration_v1",
+        "fault_plan_v1", "supervise_job_v1", "supervise_result_v1",
+        "supervise_heartbeat_v1", "supervise_checkpoint_v1",
+        "supervise_cancel_v1", "supervise_hello_v1"}) {
+    const std::string path =
+        std::string(DEFENDER_TEST_DATA_DIR) + "/" + name + ".golden.txt";
+    std::ifstream in(path, std::ios::binary);
+    if (!in) fail("fuzz seed missing: " + path);
+    docs.emplace_back(std::istreambuf_iterator<char>(in),
+                      std::istreambuf_iterator<char>());
+  }
+  return docs;
 }
 
 void fuzz_parsers(util::Rng& rng, std::size_t iterations) {
-  // Seed corpus: valid documents of every hardened format.
-  const graph::Graph seed_graph = graph::petersen_graph();
+  // Seed corpus: edge lists plus the golden document of every other
+  // format. Every mutated input goes through every parser.
   const core::TupleGame config_game(graph::cycle_graph(6), 2, 3);
-  const auto atuple = core::a_tuple_bipartite(config_game);
-  std::vector<std::string> corpus = {
-      graph::to_edge_list(seed_graph),
-      graph::to_edge_list(graph::grid_graph(2, 3)),
-      "3 2\n0 1\n1 2\n",
-      cache_seed_document(),
-  };
-  std::string config_text;
-  if (atuple) {
-    config_text = core::to_text(config_game, atuple->configuration);
-    corpus.push_back(config_text);
-  }
+  std::vector<std::string> corpus = golden_documents();
+  corpus.push_back(graph::to_edge_list(graph::petersen_graph()));
+  corpus.push_back(graph::to_edge_list(graph::grid_graph(2, 3)));
+  corpus.push_back("3 2\n0 1\n1 2\n");
+  const std::vector<FuzzFormat> formats = fuzz_formats(config_game);
 
   for (std::size_t i = 0; i < iterations; ++i) {
     std::string input = corpus[static_cast<std::size_t>(
@@ -487,20 +555,20 @@ void fuzz_parsers(util::Rng& rng, std::size_t iterations) {
     const int mutations = static_cast<int>(rng.range(1, 4));
     for (int j = 0; j < mutations; ++j) mutate(input, rng);
 
-    try {
-      const Solved<graph::Graph> parsed = graph::try_parse_edge_list(input);
-      (void)parsed;
-    } catch (const std::exception& e) {
-      fail("fuzz iter " + std::to_string(i) +
-           ": try_parse_edge_list threw: " + e.what());
-    }
-    try {
-      const Solved<core::MixedConfiguration> parsed =
-          core::try_from_text(config_game, input);
-      (void)parsed;
-    } catch (const std::exception& e) {
-      fail("fuzz iter " + std::to_string(i) +
-           ": try_from_text threw: " + e.what());
+    // Never a throw; whatever a parser accepts must re-serialize to a
+    // fixed point: text that parses back and writes the same bytes.
+    for (const FuzzFormat& format : formats) {
+      try {
+        const std::optional<std::string> text = format.rewrite(input);
+        if (!text.has_value()) continue;
+        const std::optional<std::string> again = format.rewrite(*text);
+        if (!again.has_value() || *again != *text)
+          fail("fuzz iter " + std::to_string(i) + ": accepted " +
+               format.name + " input failed to round-trip");
+      } catch (const std::exception& e) {
+        fail("fuzz iter " + std::to_string(i) + ": " + format.name +
+             " parser threw: " + e.what());
+      }
     }
     // The legacy throwing parsers may throw ContractViolation, nothing else.
     try {
@@ -509,25 +577,6 @@ void fuzz_parsers(util::Rng& rng, std::size_t iterations) {
     } catch (const std::exception& e) {
       fail("fuzz iter " + std::to_string(i) +
            ": parse_edge_list threw non-contract exception: " + e.what());
-    }
-    // The persistent cache store: never throws, and anything it accepts
-    // must round-trip through to_text losslessly.
-    try {
-      cache::SolveCache fuzzed;
-      const Status merged = fuzzed.merge_text(input);
-      if (merged.ok() && fuzzed.size() > 0) {
-        const std::string text = fuzzed.to_text();
-        cache::SolveCache round;
-        const Status again = round.merge_text(text);
-        if (!again.ok() || round.size() != fuzzed.size() ||
-            round.to_text() != text)
-          fail("fuzz iter " + std::to_string(i) +
-               ": accepted cache input failed to round-trip: " +
-               again.describe());
-      }
-    } catch (const std::exception& e) {
-      fail("fuzz iter " + std::to_string(i) +
-           ": SolveCache::merge_text threw: " + e.what());
     }
   }
 }

@@ -212,6 +212,20 @@ TEST(Wire, ResultFrameRoundTripsWithAttemptsAndMessage) {
   EXPECT_EQ(parsed.result.checkpoint_text, frame.checkpoint_text);
 }
 
+TEST(Wire, ResultFrameWithSubnormalResidualRoundTrips) {
+  // A result the supervisor cannot parse is dropped while the worker keeps
+  // heartbeating, so a subnormal residual must read back.
+  ResultFrame frame = sample_result_frame();
+  frame.result.status.residual = 1e-310;
+  frame.result.attempts[0].value = 4.9406564584124654e-324;
+  const Solved<ResultFrame> parsed = try_parse_result_frame(to_text(frame));
+  ASSERT_TRUE(parsed.ok()) << parsed.status.to_string();
+  EXPECT_EQ(parsed.result.result.status.residual, 1e-310);
+  EXPECT_EQ(parsed.result.result.attempts[0].value,
+            frame.result.attempts[0].value);
+  EXPECT_EQ(to_text(parsed.result), to_text(frame));
+}
+
 TEST(Wire, SmallFramesRoundTrip) {
   HeartbeatFrame hb;
   hb.sequence = 41;
