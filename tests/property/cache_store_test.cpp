@@ -119,6 +119,17 @@ TEST(CacheGolden, GoldenReloadsAndReserializesIdentically) {
   }
 }
 
+TEST(CacheGolden, KeyTextIsStable) {
+  // The key text is hashed on every lookup; a reloaded store only hits if
+  // its entries rebuild these bytes exactly.
+  const CacheKey key = key_from_entry(golden_entries()[1]);
+  EXPECT_EQ(key.structural,
+            "board 4 3 2 2 1 weighted-double-oracle\n"
+            "edges 0 1 1 2 2 3\n"
+            "weights 4 2 1.5 1.5 1\n");
+  EXPECT_EQ(key.params, "params 9.9999999999999995e-07 200 1.5 5000\n");
+}
+
 TEST(CacheGolden, SubnormalPayloadRoundTrips) {
   CachedSolve e = golden_entries()[1];
   e.residual = 4.9406564584124654e-324;
