@@ -453,7 +453,7 @@ std::optional<std::string> rewrite_if_ok(const Solved<T>& parsed,
 }
 
 std::vector<FuzzFormat> fuzz_formats(const core::TupleGame& config_game) {
-  const auto job = [](const auto& x) { return supervise::to_text(x); };
+  const auto frame_text = [](const auto& f) { return supervise::to_text(f); };
   return {
       {"edge list",
        [](const std::string& in) {
@@ -495,28 +495,33 @@ std::vector<FuzzFormat> fuzz_formats(const core::TupleGame& config_game) {
                               });
        }},
       {"supervise-job",
-       [job](const std::string& in) {
-         return rewrite_if_ok(supervise::try_parse_job_frame(in), job);
+       [frame_text](const std::string& in) {
+         return rewrite_if_ok(supervise::try_parse_job_frame(in), frame_text);
        }},
       {"supervise-result",
-       [job](const std::string& in) {
-         return rewrite_if_ok(supervise::try_parse_result_frame(in), job);
+       [frame_text](const std::string& in) {
+         return rewrite_if_ok(supervise::try_parse_result_frame(in),
+                              frame_text);
        }},
       {"supervise-heartbeat",
-       [job](const std::string& in) {
-         return rewrite_if_ok(supervise::try_parse_heartbeat_frame(in), job);
+       [frame_text](const std::string& in) {
+         return rewrite_if_ok(supervise::try_parse_heartbeat_frame(in),
+                              frame_text);
        }},
       {"supervise-checkpoint",
-       [job](const std::string& in) {
-         return rewrite_if_ok(supervise::try_parse_checkpoint_frame(in), job);
+       [frame_text](const std::string& in) {
+         return rewrite_if_ok(supervise::try_parse_checkpoint_frame(in),
+                              frame_text);
        }},
       {"supervise-cancel",
-       [job](const std::string& in) {
-         return rewrite_if_ok(supervise::try_parse_cancel_frame(in), job);
+       [frame_text](const std::string& in) {
+         return rewrite_if_ok(supervise::try_parse_cancel_frame(in),
+                              frame_text);
        }},
       {"supervise-hello",
-       [job](const std::string& in) {
-         return rewrite_if_ok(supervise::try_parse_hello_frame(in), job);
+       [frame_text](const std::string& in) {
+         return rewrite_if_ok(supervise::try_parse_hello_frame(in),
+                              frame_text);
        }},
   };
 }
