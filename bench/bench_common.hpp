@@ -119,6 +119,11 @@ class JsonLine {
 /// Starts a per-case wall clock; pair with `case_line` below.
 inline obs::Clock::Micros case_clock() { return obs::Clock::now_micros(); }
 
+/// Milliseconds since `started` (a case_clock() tick).
+inline double millis_since(obs::Clock::Micros started) {
+  return obs::Clock::seconds_since(started) * 1e3;
+}
+
 /// A JsonLine pre-filled with the shared schema every experiment reports:
 /// board shape (n, m, k) and the case wall time since `started`.
 inline JsonLine case_line(const std::string& experiment,

@@ -34,9 +34,13 @@ int main() {
       if (!result) continue;
       const double analytic =
           core::analytic_hit_probability(game, result->k_matching_ne);
+      // Fixed-length runs: tolerance 0 plays every round.
+      const SolveOptions fixed{.budget = SolveBudget::iterations(kRounds),
+                               .tolerance = 0};
       const sim::FictitiousPlayResult fp =
-          sim::fictitious_play(game, kRounds);
-      const sim::HedgeResult hedge = sim::hedge_dynamics(game, kRounds);
+          sim::fictitious_play(game, fixed).result;
+      const sim::HedgeResult hedge =
+          sim::hedge_dynamics(game, kRounds, fixed).result;
       const auto& last = fp.trace.back();
       const bool inside =
           last.lower <= analytic + 1e-9 && last.upper >= analytic - 1e-9 &&

@@ -66,7 +66,9 @@ int main() {
 
     std::string lp = "-";
     if (game.num_tuples() <= 2000) {
-      const double v = core::solve_zero_sum(core::TupleGame(g, kK, 1)).value;
+      const double v = core::solve_zero_sum(core::TupleGame(g, kK, 1))
+                           .value_or_throw()
+                           .value;
       lp = util::fixed(v, 4);
       if (v > ceiling + 1e-7) all_ok = false;
       // The zero-sum value is unique: any equilibrium family that exists

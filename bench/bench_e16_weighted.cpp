@@ -30,9 +30,10 @@ int main() {
       const core::TupleGame game(g, k, 1);
       if (game.num_tuples() > 1500) continue;
       const std::vector<double> w(g.num_vertices(), 1.0);
-      const double unweighted = 1.0 - core::solve_zero_sum(game).value;
+      const double unweighted =
+          1.0 - core::solve_zero_sum(game).value_or_throw().value;
       const double weighted =
-          core::solve_weighted_zero_sum(game, w).damage_value;
+          core::solve_zero_sum(game, {.weights = w}).value_or_throw().value;
       const double diff = std::abs(unweighted - weighted);
       if (diff > 1e-7) all_ok = false;
       unit.add(name, k, util::fixed(unweighted, 5), util::fixed(weighted, 5),
@@ -62,23 +63,28 @@ int main() {
     const double closed =
         static_cast<double>(leaves - 1) /
         (1.0 / gold + static_cast<double>(leaves - 1));
-    const auto lp = core::solve_weighted_zero_sum(game, w);
-    const auto fp = sim::weighted_fictitious_play(game, w, 4000);
-    // The golden spoke is the edge (0,1); defender_strategy is over
-    // lexicographic edges and edge 0 = (0,1).
-    const double golden_prob = lp.defender_strategy[0];
-    if (std::abs(lp.damage_value - closed) > 1e-6) all_ok = false;
+    const auto lp =
+        core::solve_zero_sum(game, {.weights = w}).value_or_throw();
+    const auto fp =
+        sim::fictitious_play(game, {.budget = SolveBudget::iterations(4000),
+                                    .tolerance = 0,
+                                    .weights = w})
+            .result;
+    // The golden spoke is the edge (0,1); the defender's mix (the damage
+    // game's columns) is over lexicographic edges and edge 0 = (0,1).
+    const double golden_prob = lp.col_strategy[0];
+    if (std::abs(lp.value - closed) > 1e-6) all_ok = false;
     if (std::abs(fp.value_estimate - closed) > 0.05) all_ok = false;
     // The golden spoke must carry more defender mass than 1/L.
     if (golden_prob <= 1.0 / static_cast<double>(leaves)) all_ok = false;
     star.add(leaves, gold, util::fixed(closed, 5),
-             util::fixed(lp.damage_value, 5),
+             util::fixed(lp.value, 5),
              util::fixed(fp.value_estimate, 5), util::fixed(golden_prob, 4));
     bench::JsonLine("E16", "star L=" + std::to_string(leaves))
         .num("leaves", leaves)
         .num("gold_weight", gold)
         .num("closed_form", closed)
-        .num("lp_value", lp.damage_value)
+        .num("lp_value", lp.value)
         .num("fp_value", fp.value_estimate)
         .num("golden_prob", golden_prob)
         .emit();

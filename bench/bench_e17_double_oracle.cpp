@@ -14,7 +14,6 @@
 #include "core/double_oracle.hpp"
 #include "core/k_matching.hpp"
 #include "core/perfect_matching_ne.hpp"
-#include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -48,9 +47,10 @@ int main() {
 
   for (auto& [name, g, k] : cases) {
     const core::TupleGame game(g, k, 1);
-    util::Stopwatch watch;
-    const core::DoubleOracleResult dor = core::solve_double_oracle(game);
-    const double ms = watch.millis();
+    const auto watch = bench::case_clock();
+    const core::DoubleOracleResult dor =
+        core::solve_double_oracle(game).value_or_throw();
+    const double ms = bench::millis_since(watch);
 
     // Analytic reference where a structural family exists.
     std::string analytic = "-";

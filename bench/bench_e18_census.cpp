@@ -91,7 +91,7 @@ int main() {
       // Value uniqueness at k = 1: whichever family exists must equal the
       // double-oracle value.
       const core::TupleGame game(g, 1, 1);
-      const double dor = core::solve_double_oracle(game).value;
+      const double dor = core::solve_double_oracle(game).value_or_throw().value;
       double reference = -1;
       if (by_partition) {
         const auto km = core::find_k_matching_ne(game);

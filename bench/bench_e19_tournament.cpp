@@ -31,7 +31,8 @@ int main() {
 
   const auto km = core::a_tuple_bipartite(game);
   if (!km) return 1;
-  const auto dor = core::solve_double_oracle(core::TupleGame(g, kK, kNu));
+  const auto dor =
+      core::solve_double_oracle(core::TupleGame(g, kK, kNu)).value_or_throw();
   const double value = dor.value;
 
   // Defender policies.

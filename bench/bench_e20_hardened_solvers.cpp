@@ -59,12 +59,12 @@ int main() {
   for (auto& [name, g, k] : cases) {
     const auto t0 = bench::case_clock();
     const core::TupleGame game(g, k, 1);
-    const double exact = core::solve_zero_sum(game).value;
+    const double exact = core::solve_zero_sum(game).value_or_throw().value;
 
     std::vector<Row> rows;
     const auto push_do = [&](const char* tag, const SolveBudget& budget) {
       const Solved<core::DoubleOracleResult> s =
-          core::solve_double_oracle_budgeted(game, 1e-9, budget);
+          core::solve_double_oracle(game, {.budget = budget});
       rows.push_back({"double-oracle", tag, s.status.code,
                       s.result.lower_bound, s.result.upper_bound,
                       s.result.value});
@@ -87,8 +87,9 @@ int main() {
       plan.set_all(0.25);
       fault::FaultContext fault_ctx(plan);
       const Solved<core::DoubleOracleResult> s =
-          core::solve_double_oracle_budgeted(
-              game, 1e-9, SolveBudget::iterations(200), nullptr, &fault_ctx);
+          core::solve_double_oracle(game,
+                                    {.budget = SolveBudget::iterations(200),
+                                     .fault = &fault_ctx});
       rows.push_back({"double-oracle", "faults @ 0.25", s.status.code,
                       s.result.lower_bound, s.result.upper_bound,
                       s.result.value});
@@ -96,7 +97,7 @@ int main() {
 
     const auto push_lp = [&](const char* tag, const SolveBudget& budget) {
       const Solved<lp::MatrixGameSolution> s =
-          core::solve_zero_sum_budgeted(game, budget);
+          core::solve_zero_sum(game, {.budget = budget});
       rows.push_back({"direct LP", tag, s.status.code, s.result.lower_bound,
                       s.result.upper_bound, s.result.value});
     };
@@ -105,16 +106,17 @@ int main() {
 
     {
       const Solved<sim::FictitiousPlayResult> s =
-          sim::fictitious_play_budgeted(game, SolveBudget::iterations(5),
-                                        1e-12);
+          sim::fictitious_play(game, {.budget = SolveBudget::iterations(5),
+                                      .tolerance = 1e-12});
       rows.push_back({"fictitious play", "5 rounds", s.status.code,
                       s.result.trace.back().lower,
                       s.result.trace.back().upper, s.result.value_estimate});
     }
     {
       const Solved<sim::HedgeResult> s =
-          sim::hedge_dynamics_budgeted(game, SolveBudget::iterations(5),
-                                       1e-12);
+          sim::hedge_dynamics(game, 5,
+                              {.budget = SolveBudget::iterations(5),
+                               .tolerance = 1e-12});
       rows.push_back({"hedge", "5 rounds", s.status.code,
                       s.result.trace.back().lower,
                       s.result.trace.back().upper, s.result.value_estimate});

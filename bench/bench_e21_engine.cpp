@@ -192,8 +192,8 @@ int main(int argc, char** argv) {
     const engine::JobResult& r = iso_report.results[i];
     if (i != kStalled) {
       const double lp =
-          core::solve_zero_sum_budgeted(iso[i].game,
-                                        SolveBudget::iterations(20'000))
+          core::solve_zero_sum(iso[i].game,
+                               {.budget = SolveBudget::iterations(20'000)})
               .result.value;
       const double truth =
           engine::is_weighted(iso[i].solver) ? 1.0 - lp : lp;

@@ -12,7 +12,6 @@
 #include "core/atuple.hpp"
 #include "core/reduction.hpp"
 #include "util/stats.hpp"
-#include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -29,12 +28,12 @@ int main() {
   for (std::size_t exp = 10; exp <= 16; ++exp) {
     const std::size_t n = std::size_t{1} << exp;
     const graph::Graph g = graph::path_graph(n);
-    util::Stopwatch prep;
+    const auto prep = bench::case_clock();
     const auto partition = core::find_partition_bipartite(g);
     if (!partition) return 1;
     const auto base = core::compute_matching_ne(g, *partition);
     if (!base) return 1;
-    const double prep_ms = prep.millis();
+    const double prep_ms = bench::millis_since(prep);
 
     // Odd k is coprime with the power-of-two |D(tp)| of a path, forcing the
     // worst case delta = |D(tp)| of Theorem 4.13 (work is Theta(k*n));
@@ -42,9 +41,9 @@ int main() {
     for (std::size_t k : {std::size_t{7}, std::size_t{31}, std::size_t{255}}) {
       if (k > base->tp_support.size()) continue;
       const core::TupleGame game(g, k, 4);
-      util::Stopwatch lift_watch;
+      const auto lift_watch = bench::case_clock();
       const core::KMatchingNe lifted = core::lift_to_k_matching(game, *base);
-      const double lift_ms = lift_watch.millis();
+      const double lift_ms = bench::millis_since(lift_watch);
       // Correctness spot check (full NE verification is E3's job; here we
       // check the structural invariants at scale).
       if (!core::is_k_matching_configuration(game, lifted.vp_support,

@@ -40,10 +40,9 @@ bool strategies_bit_equal(const std::vector<double>& a,
 /// core versus the reference substrate. True iff every field is bit-equal.
 bool game_solutions_bit_equal(const defender::lp::Matrix& payoff) {
   using namespace defender;
-  const auto flat = lp::solve_matrix_game_budgeted_with(
-      &lp::solve_max, payoff, SolveBudget::unlimited_budget());
-  const auto ref = lp::solve_matrix_game_budgeted_with(
-      &lp::reference::solve_max, payoff, SolveBudget::unlimited_budget());
+  const auto flat = lp::solve_matrix_game(payoff);
+  const auto ref = lp::solve_matrix_game(payoff, {}, nullptr, nullptr,
+                                         &lp::reference::solve_max);
   return flat.status.code == ref.status.code &&
          bits(flat.result.value) == bits(ref.result.value) &&
          bits(flat.result.lower_bound) == bits(ref.result.lower_bound) &&
@@ -83,7 +82,7 @@ int main() {
       if (!result) continue;
       const double combinatorial =
           core::analytic_hit_probability(game, result->k_matching_ne);
-      const double lp_value = core::solve_zero_sum(game).value;
+      const double lp_value = core::solve_zero_sum(game).value_or_throw().value;
       const double diff = std::abs(lp_value - combinatorial);
       worst = std::max(worst, diff);
       ++instances;

@@ -87,7 +87,8 @@ void BM_ZeroSumLp(benchmark::State& state) {
   const graph::Graph g = graph::cycle_graph(n);
   const core::TupleGame game(g, 2, 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::solve_zero_sum(game).value);
+    benchmark::DoNotOptimize(
+        core::solve_zero_sum(game).value_or_throw().value);
   }
   state.counters["tuples"] = static_cast<double>(game.num_tuples());
 }
@@ -260,8 +261,8 @@ void BM_DoubleOracle_NullObs(benchmark::State& state) {
   const core::TupleGame game(g, 3, 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::solve_double_oracle_budgeted(game, 1e-9,
-                                           SolveBudget::iterations(200))
+        core::solve_double_oracle(
+            game, {.budget = SolveBudget::iterations(200)})
             .result.value);
   }
 }
@@ -285,9 +286,8 @@ void BM_DoubleOracle_FullObs(benchmark::State& state) {
   for (auto _ : state) {
     recorder.clear();
     benchmark::DoNotOptimize(
-        core::solve_double_oracle_budgeted(game, 1e-9,
-                                           SolveBudget::iterations(200),
-                                           &ctx)
+        core::solve_double_oracle(
+            game, {.budget = SolveBudget::iterations(200), .obs = &ctx})
             .result.value);
   }
 }
@@ -305,9 +305,8 @@ void BM_DoubleOracle_NullFault(benchmark::State& state) {
   const core::TupleGame game(g, 3, 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::solve_double_oracle_budgeted(game, 1e-9,
-                                           SolveBudget::iterations(200),
-                                           nullptr, nullptr)
+        core::solve_double_oracle(
+            game, {.budget = SolveBudget::iterations(200)})
             .result.value);
   }
 }
@@ -322,9 +321,8 @@ void BM_DoubleOracle_ArmedFault(benchmark::State& state) {
   fault::FaultContext fault_ctx(plan);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::solve_double_oracle_budgeted(game, 1e-9,
-                                           SolveBudget::iterations(200),
-                                           nullptr, &fault_ctx)
+        core::solve_double_oracle(
+            game, {.budget = SolveBudget::iterations(200), .fault = &fault_ctx})
             .result.value);
   }
 }
@@ -501,9 +499,8 @@ double fault_pair_seconds(core::TupleGame const& game,
   const auto t0 = bench::case_clock();
   for (int i = 0; i < reps; ++i) {
     benchmark::DoNotOptimize(
-        core::solve_double_oracle_budgeted(game, 1e-9,
-                                           SolveBudget::iterations(200),
-                                           nullptr, fault_ctx)
+        core::solve_double_oracle(
+            game, {.budget = SolveBudget::iterations(200), .fault = fault_ctx})
             .result.value);
   }
   return obs::Clock::seconds_since(t0);

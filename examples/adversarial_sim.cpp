@@ -126,7 +126,10 @@ int main() {
             << " arrests — the equilibrium defender's guaranteed floor.\n\n";
 
   std::cout << "Fictitious play (both sides learning from scratch):\n";
-  const sim::FictitiousPlayResult fp = sim::fictitious_play(game, 3000);
+  const sim::FictitiousPlayResult fp =
+      sim::fictitious_play(
+          game, {.budget = SolveBudget::iterations(3000), .tolerance = 0})
+          .result;
   util::Table fp_table({"round", "lower bound", "upper bound", "gap"});
   for (const auto& t : fp.trace)
     fp_table.add(t.round, util::fixed(t.lower, 4), util::fixed(t.upper, 4),

@@ -67,19 +67,24 @@ int main() {
   }
 
   // Posture 2: damage-optimal mix (exact LP on the damage matrix).
-  const core::WeightedSolution optimal = core::solve_weighted_zero_sum(
-      game, w, /*max_tuples=*/600);  // C(31,2) = 465 tuples
+  // Damage game: rows are the attacker's vertices, columns the defender's
+  // tuples in lexicographic order (C(31,2) = 465 of them).
+  const lp::MatrixGameSolution optimal =
+      core::solve_zero_sum(game, {.weights = w}).value_or_throw();
 
   // Posture 3: weighted fictitious play learning the same defense.
   const sim::FictitiousPlayResult fp =
-      sim::weighted_fictitious_play(game, w, 5000);
+      sim::fictitious_play(game, {.budget = SolveBudget::iterations(5000),
+                                  .tolerance = 0,
+                                  .weights = w})
+          .result;
 
   util::Table table({"defender posture", "worst-case damage conceded",
                      "attacker's favourite target"});
   table.add("value-blind k-matching NE", util::fixed(blind_damage, 3),
             "vertex " + std::to_string(blind_target) +
                 (blind_target < 2 ? " (core!)" : ""));
-  table.add("damage-optimal (LP)", util::fixed(optimal.damage_value, 3),
+  table.add("damage-optimal (LP)", util::fixed(optimal.value, 3),
             "indifferent (equalized)");
   table.add("learned (weighted FP, 5000 rounds)",
             util::fixed(fp.trace.back().upper, 3), "indifferent (learned)");
@@ -88,7 +93,7 @@ int main() {
   // Where does the optimal defense point its scans?
   double core_mass = 0, switch_mass = 0, host_mass = 0;
   std::uint64_t rank = 0;
-  for (double p : optimal.defender_strategy) {
+  for (double p : optimal.col_strategy) {
     // Classify each tuple by its most valuable covered vertex.
     const core::Tuple t = core::tuple_at_rank(game, rank++);
     double best = 0;
@@ -109,6 +114,6 @@ int main() {
                "take the uncovered high-value asset; the damage-optimal "
                "mix equalizes residual DAMAGE instead, cutting the "
                "worst case from " << util::fixed(blind_damage, 1) << " to "
-            << util::fixed(optimal.damage_value, 1) << ".\n";
+            << util::fixed(optimal.value, 1) << ".\n";
   return 0;
 }

@@ -269,13 +269,14 @@ defender::Solved<std::vector<BatchLine>> parse_batch_file(std::istream& in) {
   return out;
 }
 
-/// Runs the --batch jobs through the SolveEngine pool and prints one
-/// result row per job plus the batch aggregates. Returns the process exit
-/// code: 0 when every job finished kOk, 1 when any degraded (each row
-/// still reports its truthful status and certified bracket).
+/// Runs the --batch jobs through the SolveEngine pool — or, with
+/// `isolate`, the supervised subprocess pool — and prints one result row
+/// per job plus the batch aggregates. Returns the process exit code: 0
+/// when every job finished kOk, 1 when any degraded (each row still
+/// reports its truthful status and certified bracket).
 int run_batch(const defender::graph::Graph& g,
               const std::vector<BatchLine>& lines,
-              const defender::engine::EngineConfig& config,
+              const defender::engine::EngineConfig& config, bool isolate,
               double watchdog_seconds, double fault_rate,
               std::uint64_t fault_seed) {
   using namespace defender;
@@ -303,7 +304,7 @@ int run_batch(const defender::graph::Graph& g,
 
   engine::BatchReport report;
   std::optional<supervise::SupervisedReport> supervised;
-  if (config.isolation == engine::IsolationMode::kProcess) {
+  if (isolate) {
     // Process isolation: a supervised subprocess pool replaces the thread
     // pool; non-faulted results are bit-identical (docs/SUPERVISION.md).
     supervise::PoolConfig pool_config;
@@ -628,7 +629,6 @@ int main(int argc, char** argv) {
                          report_path);
     engine::EngineConfig config;
     config.workers = pool_workers;
-    if (isolate) config.isolation = engine::IsolationMode::kProcess;
     if (!retry_spec.empty()) {
       const Solved<engine::RetryPolicy> ladder =
           engine::RetryPolicy::try_parse(retry_spec);
@@ -662,7 +662,7 @@ int main(int argc, char** argv) {
 
     std::cout << "Board: n=" << g.num_vertices() << " m=" << g.num_edges()
               << "\n\n";
-    const int rc = run_batch(g, lines.result, config,
+    const int rc = run_batch(g, lines.result, config, isolate,
                              budget.wall_clock_seconds, fault_rate,
                              fault_seed);
     if (solve_cache != nullptr) {
@@ -767,7 +767,10 @@ int main(int argc, char** argv) {
   fault::FaultContext* fault_ptr = fault_rate > 0.0 ? &fault_ctx : nullptr;
 
   core::SolverCheckpoint resumed, captured;
-  core::ResumeHooks hooks;
+  SolveOptions opts;
+  opts.budget = budget;
+  opts.obs = obs_ptr;
+  opts.fault = fault_ptr;
   if (!resume_checkpoint_path.empty()) {
     io::LoadReport report;
     const Solved<core::SolverCheckpoint> parsed_cp =
@@ -775,22 +778,21 @@ int main(int argc, char** argv) {
     if (!parsed_cp.ok()) return fail_status(parsed_cp.status);
     log_recovery("checkpoint", report);
     resumed = parsed_cp.result;
-    hooks.resume = &resumed;
+    opts.resume = &resumed;
   }
-  if (!save_checkpoint_path.empty()) hooks.capture = &captured;
+  if (!save_checkpoint_path.empty()) opts.capture = &captured;
 
   std::cout << "\nGame value (budgeted double oracle, max "
             << budget.max_iterations << " iterations";
   if (budget.wall_clock_seconds > 0)
     std::cout << ", deadline " << budget.wall_clock_seconds << "s";
-  if (hooks.resume != nullptr)
+  if (opts.resume != nullptr)
     std::cout << ", resuming after " << resumed.iterations << " iterations";
   if (fault_ptr != nullptr)
     std::cout << ", fault rate " << fault_rate << " seed " << fault_seed;
   std::cout << "):\n";
   const Solved<core::DoubleOracleResult> solved =
-      core::solve_double_oracle_resumable(game, 1e-9, budget, hooks, obs_ptr,
-                                          fault_ptr);
+      core::solve_double_oracle(game, opts);
   if (solved.ok()) {
     std::cout << "  hit probability = " << solved.result.value << " ("
               << solved.result.iterations << " iterations, gap "
@@ -801,7 +803,7 @@ int main(int argc, char** argv) {
               << ", " << solved.result.upper_bound << "], best estimate "
               << solved.result.value << '\n';
   }
-  if (hooks.capture != nullptr &&
+  if (opts.capture != nullptr &&
       solved.status.code != StatusCode::kInvalidInput) {
     // Durable save through the same fault context as the solve, so an
     // armed --fault-rate plan exercises the io-* sites too.

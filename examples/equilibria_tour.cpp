@@ -60,7 +60,8 @@ int main() {
             core::analytic_defender_profit(game, result->k_matching_ne), 3);
       }
       if (game.num_tuples() <= 5000 && kmatch == "yes")
-        lp_value = util::fixed(core::solve_zero_sum(game).value, 4);
+        lp_value = util::fixed(
+            core::solve_zero_sum(game).value_or_throw().value, 4);
     }
     table.add(name, g.num_vertices(), g.num_edges(), threshold, kmatch, hit,
               gain, lp_value);

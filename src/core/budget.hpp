@@ -2,10 +2,14 @@
 //
 // A SolveBudget caps how much work a solver may spend — outer iterations,
 // wall-clock time, and branch-and-bound node expansions inside the tuple
-// oracle. Exhausting a budget is NOT an error: the budgeted entry points
-// (solve_double_oracle_budgeted, fictitious_play_budgeted, ...) return
-// their best-so-far result with certified upper/lower bounds and a
+// oracle. Exhausting a budget is NOT an error: every solver entry point
+// (core::solve_double_oracle, sim::fictitious_play, ...) returns its
+// best-so-far result with certified upper/lower bounds and a
 // kIterationLimit / kDeadlineExceeded status instead of throwing.
+//
+// SolveOptions bundles the budget with everything else a solve call takes
+// beside the game: tolerance, damage weights, checkpoint resume/capture
+// slots, and the observability and fault contexts.
 //
 // BudgetMeter is the runtime companion: it reads the shared obs::Clock and
 // owns the iteration counter so every solver enforces the budget the same
@@ -21,15 +25,25 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "core/cancel.hpp"
 #include "obs/clock.hpp"
 
+namespace defender::core {
+struct SolverCheckpoint;
+}  // namespace defender::core
+namespace defender::fault {
+class FaultContext;
+}  // namespace defender::fault
+namespace defender::obs {
+struct ObsContext;
+}  // namespace defender::obs
+
 namespace defender {
 
 /// Effort cap for one solve. Zero in any field means "unlimited" for that
-/// dimension; the default budget is fully unlimited, matching the legacy
-/// throwing APIs.
+/// dimension; the default budget is fully unlimited.
 struct SolveBudget {
   /// Outer iterations (double-oracle loop turns, learning rounds, simplex
   /// pivots). 0 = unlimited.
@@ -45,7 +59,7 @@ struct SolveBudget {
   /// Optional cooperative cancellation latch, not owned; must outlive the
   /// solve. Solvers poll it once per outer iteration (and read the latch
   /// from pivot/node batches) and return kCancelled with best-so-far
-  /// bounds — and, via the resumable entry points, a checkpoint — when it
+  /// bounds — and, with SolveOptions::capture set, a checkpoint — when it
   /// fires. nullptr (the default) means "not cancellable" and costs one
   /// pointer compare per iteration.
   CancelToken* cancel = nullptr;
@@ -67,6 +81,35 @@ struct SolveBudget {
   static SolveBudget deadline(double seconds) {
     return SolveBudget{0, seconds, 0};
   }
+};
+
+/// Everything one solver call takes beside the game. Aggregate, so call
+/// sites name only what they set:
+///   core::solve_double_oracle(game, {.budget = SolveBudget::iterations(50)})
+/// Each solver documents which fields it reads; the rest are ignored.
+struct SolveOptions {
+  SolveBudget budget = {};
+  /// Double oracle's closure tolerance; the certified gap at which
+  /// fictitious play and Hedge stop early (0 = play the full budget or
+  /// horizon and report kOk).
+  double tolerance = 1e-9;
+  /// Damage weights, one strictly positive entry per vertex. Non-empty
+  /// selects the damage-weighted game (core/weighted.hpp) in double
+  /// oracle, fictitious play and the zero-sum LP. Not owned.
+  std::span<const double> weights = {};
+  /// Resume from this checkpoint instead of a fresh start. The solver
+  /// validates it (kind, version, game shape, state sizes) and returns
+  /// kInvalidInput on mismatch instead of crashing or silently restarting.
+  const core::SolverCheckpoint* resume = nullptr;
+  /// When non-null, overwritten with the final loop state on every exit
+  /// path — including kOk — so a stopped solve can always continue.
+  core::SolverCheckpoint* capture = nullptr;
+  /// Trace, metrics and convergence sinks; null records nothing and leaves
+  /// results bit-for-bit identical.
+  obs::ObsContext* obs = nullptr;
+  /// Deterministic fault injection (fault/fault.hpp); null is inert and
+  /// leaves results bit-for-bit identical.
+  fault::FaultContext* fault = nullptr;
 };
 
 /// Tracks consumption against a SolveBudget; one per solve.

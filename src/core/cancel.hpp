@@ -4,8 +4,8 @@
 // signal handler, a caller that lost interest) calls request_cancel(), and
 // the solver observes it at its budget-check sites and returns best-so-far
 // bounds with StatusCode::kCancelled. Cancellation composes with the
-// checkpoint layer: the `*_resumable` entry points capture a
-// core::SolverCheckpoint on the cancelled exit path exactly as they do on
+// checkpoint layer: a solver given SolveOptions::capture writes a
+// core::SolverCheckpoint on the cancelled exit path exactly as it does on
 // budget exhaustion, so a cancelled solve can later resume where it
 // stopped.
 //

@@ -9,9 +9,9 @@
 //   fictitious play (both variants) attacker/defender empirical histories
 //   Hedge                           log-weights + running strategy sums
 //
-// Each solver's *_resumable entry point fills a caller-provided capture
-// slot on EVERY exit path (budget exhaustion, deadline, convergence,
-// stall), and accepts a previously captured checkpoint to continue from.
+// Each solver fills SolveOptions::capture (core/budget.hpp) on EVERY exit
+// path (budget exhaustion, deadline, cancel, convergence, stall), and
+// continues from SolveOptions::resume when one is given.
 // All five loops are deterministic functions of this state, so
 // kill-at-iteration-i + resume reproduces the uninterrupted trajectory
 // exactly: same final status, equal-or-tighter certified bracket (asserted
@@ -121,18 +121,6 @@ std::string to_text(const SolverCheckpoint& checkpoint);
 /// oversized counts, non-finite state, and truncated input all come back
 /// as kInvalidInput with the offending line number — never a crash.
 Solved<SolverCheckpoint> try_parse_checkpoint(const std::string& text);
-
-/// Resume/capture slots threaded into the *_resumable solver entry points.
-/// Both null (the default) reproduces the plain budgeted behaviour.
-struct ResumeHooks {
-  /// Resume from this checkpoint instead of a fresh start. The solver
-  /// validates it (kind, version, game shape, state sizes) and returns
-  /// kInvalidInput on mismatch instead of crashing or silently restarting.
-  const SolverCheckpoint* resume = nullptr;
-  /// When non-null, overwritten with the final loop state on every exit
-  /// path — including kOk — so a killed solve can always continue.
-  SolverCheckpoint* capture = nullptr;
-};
 
 /// Envelope format tag for checkpoint artifacts on disk.
 inline constexpr std::string_view kCheckpointArtifactFormat =

@@ -5,6 +5,7 @@
 
 #include "core/best_response.hpp"
 #include "core/payoff.hpp"
+#include "core/weighted.hpp"
 #include "fault/fault.hpp"
 #include "lp/matrix_game.hpp"
 #include "util/assert.hpp"
@@ -16,20 +17,6 @@ namespace {
 /// Residual duality gap below which a stalled loop (both oracles already
 /// in the working sets) is accepted as numerically converged.
 constexpr double kStallSlack = 1e-4;
-
-/// Restricted coverage matrix over working sets: rows = tuples (defender,
-/// maximizer), cols = vertices (attacker, minimizer).
-lp::Matrix restricted_matrix(const graph::Graph& g,
-                             const std::vector<Tuple>& tuples,
-                             const std::vector<graph::Vertex>& vertices) {
-  lp::Matrix a(tuples.size(), vertices.size());
-  for (std::size_t t = 0; t < tuples.size(); ++t) {
-    const graph::VertexSet covered = tuple_vertices(g, tuples[t]);
-    for (std::size_t v = 0; v < vertices.size(); ++v)
-      if (graph::contains(covered, vertices[v])) a.at(t, v) = 1.0;
-  }
-  return a;
-}
 
 /// Builds the support-only mixed strategies from a restricted-game solution.
 /// `def_probs` / `att_probs` may be shorter than the working sets (the sets
@@ -215,54 +202,239 @@ Status validate_do_checkpoint(const SolverCheckpoint& cp, SolverKind kind,
   return Status::make_ok();
 }
 
-}  // namespace
+/// Hit probability of every vertex under the defender's restricted mix
+/// (`def_probs` runs over the tuples working set).
+std::vector<double> restricted_hit(const graph::Graph& g,
+                                   const std::vector<Tuple>& tuples,
+                                   std::span<const double> def_probs) {
+  std::vector<double> hit(g.num_vertices(), 0.0);
+  for (std::size_t t = 0; t < tuples.size(); ++t) {
+    if (def_probs[t] <= 0) continue;
+    for (graph::Vertex v : tuple_vertices(g, tuples[t])) hit[v] += def_probs[t];
+  }
+  return hit;
+}
 
-Solved<DoubleOracleResult> solve_double_oracle_resumable(
-    const TupleGame& game, double tolerance, const SolveBudget& budget,
-    const ResumeHooks& hooks, obs::ObsContext* obs,
-    fault::FaultContext* fault) {
+/// One side's best response to the other side's restricted mix, in the
+/// restricted LP's payoff units.
+struct Reply {
+  /// Payoff of the returned strategy.
+  double value = 0;
+  /// Sound bound on the payoff of the true best response: `value` unless
+  /// a truncated oracle search leaves only its completion bound.
+  double certificate = 0;
+};
+
+struct DefenderReply {
+  BestTupleSearch search;
+  Reply payoff;
+};
+
+struct AttackerReply {
+  graph::Vertex vertex = 0;
+  Reply payoff;
+};
+
+/// The hit game: the defender maximizes the hit probability. Restricted LP
+/// rows are tuples (defender, maximizer), columns vertices (attacker).
+struct HitGame {
+  static constexpr bool kDefenderIsRow = true;
+  static constexpr SolverKind kKind = SolverKind::kDoubleOracle;
+  static constexpr const char* kName = "double oracle";
+  static constexpr const char* kPrefix = "do";
+  static constexpr const char* kSolveSpan = "do.solve";
+  static constexpr const char* kIterationEvent = "do.iteration";
+  static constexpr const char* kStalled =
+      "double oracle stalled: an improving best response was already in the "
+      "working set (numerical tolerance too tight); returning best-so-far "
+      "certified bounds";
+
+  const TupleGame& game;
+
+  /// Hit probabilities live in [0, 1] a priori.
+  double a_priori_upper() const { return 1.0; }
+
+  /// Seed: the defender's best response to a uniform attacker, and one
+  /// uncovered-if-possible vertex.
+  std::vector<double> seed_masses() const {
+    const std::size_t n = game.graph().num_vertices();
+    return std::vector<double>(n, 1.0 / static_cast<double>(n));
+  }
+  graph::Vertex seed_vertex() const { return 0; }
+
+  lp::Matrix restricted(const std::vector<Tuple>& tuples,
+                        const std::vector<graph::Vertex>& vertices) const {
+    lp::Matrix a(tuples.size(), vertices.size());
+    for (std::size_t t = 0; t < tuples.size(); ++t) {
+      const graph::VertexSet covered = tuple_vertices(game.graph(), tuples[t]);
+      for (std::size_t v = 0; v < vertices.size(); ++v)
+        if (graph::contains(covered, vertices[v])) a.at(t, v) = 1.0;
+    }
+    return a;
+  }
+
+  /// Best tuple against the attacker's restricted mix: its coverage mass
+  /// caps the value; when the oracle was truncated only its completion
+  /// bound is sound.
+  DefenderReply defender_reply(const std::vector<graph::Vertex>& vertices,
+                               std::span<const double> att_probs,
+                               const SolveBudget& budget, obs::ObsContext* obs,
+                               fault::FaultContext* fault) const {
+    std::vector<double> masses(game.graph().num_vertices(), 0.0);
+    for (std::size_t v = 0; v < vertices.size(); ++v)
+      masses[vertices[v]] += att_probs[v];
+    DefenderReply r;
+    r.search = best_tuple_branch_and_bound_budgeted(
+        game, masses, budget.oracle_node_budget, obs, fault, budget.cancel);
+    r.payoff.value = r.search.best.mass;
+    r.payoff.certificate =
+        r.search.truncated ? r.search.upper_bound : r.search.best.mass;
+    return r;
+  }
+
+  /// Minimum-hit vertex against the defender's restricted mix.
+  AttackerReply attacker_reply(const std::vector<double>& hit) const {
+    const auto min_it = std::min_element(hit.begin(), hit.end());
+    return {static_cast<graph::Vertex>(min_it - hit.begin()),
+            {*min_it, *min_it}};
+  }
+};
+
+/// The damage game (core/weighted.hpp): the attacker maximizes expected
+/// damage. Restricted LP rows are vertices (attacker, maximizer), columns
+/// tuples (defender, minimizer).
+struct DamageGame {
+  static constexpr bool kDefenderIsRow = false;
+  static constexpr SolverKind kKind = SolverKind::kWeightedDoubleOracle;
+  static constexpr const char* kName = "weighted double oracle";
+  static constexpr const char* kPrefix = "do.weighted";
+  static constexpr const char* kSolveSpan = "do.weighted.solve";
+  static constexpr const char* kIterationEvent = "do.weighted.iteration";
+  static constexpr const char* kStalled =
+      "weighted double oracle stalled outside the accepted gap; returning "
+      "best-so-far certified bounds";
+
+  const TupleGame& game;
+  std::span<const double> weights;
+
+  /// Damage values live in [0, max weight] a priori.
+  double a_priori_upper() const {
+    return *std::max_element(weights.begin(), weights.end());
+  }
+
+  /// Seed: the defender's best response to a uniform attacker, and the
+  /// most valuable vertex (the attacker's first instinct).
+  std::vector<double> seed_masses() const {
+    const std::size_t n = game.graph().num_vertices();
+    std::vector<double> masses(n);
+    for (std::size_t v = 0; v < n; ++v)
+      masses[v] = weights[v] / static_cast<double>(n);
+    return masses;
+  }
+  graph::Vertex seed_vertex() const {
+    return static_cast<graph::Vertex>(
+        std::max_element(weights.begin(), weights.end()) - weights.begin());
+  }
+
+  lp::Matrix restricted(const std::vector<Tuple>& tuples,
+                        const std::vector<graph::Vertex>& vertices) const {
+    lp::Matrix a(vertices.size(), tuples.size());
+    for (std::size_t t = 0; t < tuples.size(); ++t) {
+      const graph::VertexSet covered = tuple_vertices(game.graph(), tuples[t]);
+      for (std::size_t v = 0; v < vertices.size(); ++v)
+        if (!graph::contains(covered, vertices[v]))
+          a.at(v, t) = weights[vertices[v]];
+    }
+    return a;
+  }
+
+  /// Concede the least damage against the attacker's restricted mix =
+  /// maximize covered weighted mass. The damage floor subtracts the
+  /// coverage the oracle certifies (its completion bound when truncated).
+  DefenderReply defender_reply(const std::vector<graph::Vertex>& vertices,
+                               std::span<const double> att_probs,
+                               const SolveBudget& budget, obs::ObsContext* obs,
+                               fault::FaultContext* fault) const {
+    std::vector<double> masses(game.graph().num_vertices(), 0.0);
+    double total = 0;
+    for (std::size_t v = 0; v < vertices.size(); ++v) {
+      masses[vertices[v]] += weights[vertices[v]] * att_probs[v];
+      total += weights[vertices[v]] * att_probs[v];
+    }
+    DefenderReply r;
+    r.search = best_tuple_branch_and_bound_budgeted(
+        game, masses, budget.oracle_node_budget, obs, fault, budget.cancel);
+    r.payoff.value = total - r.search.best.mass;
+    r.payoff.certificate =
+        total -
+        (r.search.truncated ? r.search.upper_bound : r.search.best.mass);
+    return r;
+  }
+
+  /// The most damaging vertex against the defender's restricted mix.
+  AttackerReply attacker_reply(const std::vector<double>& hit) const {
+    AttackerReply r;
+    double best = -1;
+    for (std::size_t v = 0; v < hit.size(); ++v) {
+      const double d = weights[v] * (1.0 - hit[v]);
+      if (d > best) {
+        best = d;
+        r.vertex = static_cast<graph::Vertex>(v);
+      }
+    }
+    r.payoff = {best, best};
+    return r;
+  }
+};
+
+/// The double-oracle loop over either game's payoff view. It is written in
+/// the restricted LP's sides: the row side maximizes and its best response
+/// certifies the upper bound, the column side minimizes and certifies the
+/// lower bound; `Game::kDefenderIsRow` says which side the defender is.
+template <class Game>
+Solved<DoubleOracleResult> run_double_oracle(const Game& view,
+                                             const SolveOptions& opts) {
+  const TupleGame& game = view.game;
   const graph::Graph& g = game.graph();
-  const std::size_t n = g.num_vertices();
+  const SolveBudget& budget = opts.budget;
+  obs::ObsContext* const obs = opts.obs;
+  fault::FaultContext* const fault = opts.fault;
+  const SolverCheckpoint* const resume = opts.resume;
   std::size_t base_iterations = 0;
-  if (hooks.resume != nullptr) {
-    Status check = validate_do_checkpoint(*hooks.resume,
-                                          SolverKind::kDoubleOracle, game);
+  if (resume != nullptr) {
+    Status check = validate_do_checkpoint(*resume, Game::kKind, game);
     if (!check.ok()) {
       Solved<DoubleOracleResult> out;
       out.status = std::move(check);
       return out;
     }
-    base_iterations = hooks.resume->iterations;
+    base_iterations = resume->iterations;
   }
   BudgetMeter meter(budget);
   obs::Span solve_span;
   if (obs != nullptr)
-    solve_span = open_solve_span(obs, "do.solve", game, tolerance);
+    solve_span = open_solve_span(obs, Game::kSolveSpan, game, opts.tolerance);
 
-  // Certified bracket on the game value: the hit probability lives in
-  // [0, 1] a priori; every iteration tightens both ends via the exact
-  // oracles.
+  // Certified bracket on the game value, a priori [0, a_priori_upper];
+  // every iteration tightens both ends via the exact oracles.
   std::vector<Tuple> tuples;
   std::vector<graph::Vertex> vertices;
   double best_lower = 0.0;
-  double best_upper = 1.0;
+  double best_upper = view.a_priori_upper();
   bool any_truncated = false;
-  if (hooks.resume != nullptr) {
+  if (resume != nullptr) {
     // Continue from the captured loop state; the seed round already
     // happened in the interrupted segment.
-    tuples = hooks.resume->tuples;
-    vertices = hooks.resume->vertices;
-    best_lower = hooks.resume->best_lower;
-    best_upper = hooks.resume->best_upper;
-    any_truncated = hooks.resume->any_truncated;
+    tuples = resume->tuples;
+    vertices = resume->vertices;
+    best_lower = resume->best_lower;
+    best_upper = resume->best_upper;
+    any_truncated = resume->any_truncated;
   } else {
-    // Seed: the defender's best response to a uniform attacker, and one
-    // uncovered-if-possible vertex.
-    std::vector<double> uniform_mass(n, 1.0 / static_cast<double>(n));
-    BestTupleSearch seed = best_tuple_branch_and_bound_budgeted(
-        game, uniform_mass, budget.oracle_node_budget, obs, fault);
+    const BestTupleSearch seed = best_tuple_branch_and_bound_budgeted(
+        game, view.seed_masses(), budget.oracle_node_budget, obs, fault);
     tuples.push_back(seed.best.tuple);
-    vertices.push_back(0);
+    vertices.push_back(view.seed_vertex());
     any_truncated = seed.truncated;
   }
   RestrictedSnapshot snap;
@@ -283,12 +455,12 @@ Solved<DoubleOracleResult> solve_double_oracle_resumable(
     r.defender_set_size = tuples.size();
     r.attacker_set_size = vertices.size();
     r.approximate = any_truncated || code != StatusCode::kOk;
-    if (hooks.capture != nullptr) {
+    if (opts.capture != nullptr) {
       // Raw loop state (not the clamped result fields) so a resumed
       // segment continues from exactly the state this one stopped in.
       SolverCheckpoint cp;
-      cp.solver = SolverKind::kDoubleOracle;
-      cp.n = n;
+      cp.solver = Game::kKind;
+      cp.n = g.num_vertices();
       cp.m = g.num_edges();
       cp.k = game.k();
       cp.iterations = r.iterations;
@@ -297,7 +469,7 @@ Solved<DoubleOracleResult> solve_double_oracle_resumable(
       cp.any_truncated = any_truncated;
       cp.tuples = tuples;
       cp.vertices = vertices;
-      *hooks.capture = std::move(cp);
+      *opts.capture = std::move(cp);
     }
     Solved<DoubleOracleResult> out;
     out.result = std::move(r);
@@ -309,9 +481,18 @@ Solved<DoubleOracleResult> solve_double_oracle_resumable(
                                     r.upper_bound - r.lower_bound,
                                     meter.elapsed_seconds());
     if (obs != nullptr)
-      record_finish(obs, "do", solve_span, out,
+      record_finish(obs, Game::kPrefix, solve_span, out,
                     meter.elapsed_seconds() * 1e3);
     return out;
+  };
+  // Exits before this iteration's LP: the last restricted value (or the
+  // bracket midpoint before the first one) and the running bracket.
+  const auto stop = [&](StatusCode code, const std::string& what) {
+    return finish(code,
+                  std::string(Game::kName) + " " + what +
+                      "; returning best-so-far certified bounds",
+                  snap.valid ? snap.value : 0.5 * (best_lower + best_upper),
+                  best_upper - best_lower);
   };
 
   while (true) {
@@ -319,39 +500,25 @@ Solved<DoubleOracleResult> solve_double_oracle_resumable(
     // obs::Clock) or jump forward into the deadline checks below.
     fault::perturb_clock(fault);
     if (meter.out_of_iterations())
-      return finish(StatusCode::kIterationLimit,
-                    "double oracle iteration budget exhausted; returning "
-                    "best-so-far certified bounds",
-                    snap.valid ? snap.value : 0.5 * (best_lower + best_upper),
-                    best_upper - best_lower);
+      return stop(StatusCode::kIterationLimit, "iteration budget exhausted");
     if (meter.deadline_exceeded())
-      return finish(StatusCode::kDeadlineExceeded,
-                    "double oracle wall-clock deadline expired; returning "
-                    "best-so-far certified bounds",
-                    snap.valid ? snap.value : 0.5 * (best_lower + best_upper),
-                    best_upper - best_lower);
+      return stop(StatusCode::kDeadlineExceeded,
+                  "wall-clock deadline expired");
     if (meter.cancel_requested())
-      return finish(StatusCode::kCancelled,
-                    "double oracle cancelled; returning best-so-far "
-                    "certified bounds",
-                    snap.valid ? snap.value : 0.5 * (best_lower + best_upper),
-                    best_upper - best_lower);
+      return stop(StatusCode::kCancelled, "cancelled");
     meter.charge_iteration();
 
-    const lp::Matrix a = restricted_matrix(g, tuples, vertices);
+    const lp::Matrix a = view.restricted(tuples, vertices);
     SolveBudget lp_budget;
     lp_budget.cancel = budget.cancel;
     if (budget.wall_clock_seconds > 0)
       lp_budget.wall_clock_seconds = std::max(
           1e-3, budget.wall_clock_seconds - meter.elapsed_seconds());
     const Solved<lp::MatrixGameSolution> lp_solved =
-        lp::solve_matrix_game_budgeted(a, lp_budget, obs, fault);
+        lp::solve_matrix_game(a, lp_budget, obs, fault);
     if (lp_solved.status.code == StatusCode::kCancelled)
-      return finish(StatusCode::kCancelled,
-                    "double oracle cancelled inside the restricted LP; "
-                    "returning best-so-far certified bounds",
-                    snap.valid ? snap.value : 0.5 * (best_lower + best_upper),
-                    best_upper - best_lower);
+      return stop(StatusCode::kCancelled,
+                  "cancelled inside the restricted LP");
     if (!lp_solved.ok() &&
         lp_solved.status.code != StatusCode::kNumericallyUnstable)
       return finish(StatusCode::kDeadlineExceeded,
@@ -360,64 +527,54 @@ Solved<DoubleOracleResult> solve_double_oracle_resumable(
                     snap.valid ? snap.value : 0.5 * (best_lower + best_upper),
                     best_upper - best_lower);
     const lp::MatrixGameSolution& restricted = lp_solved.result;
-    snap.def_probs = restricted.row_strategy;
-    snap.att_probs = restricted.col_strategy;
+    const std::vector<double>& def_probs = Game::kDefenderIsRow
+                                               ? restricted.row_strategy
+                                               : restricted.col_strategy;
+    const std::vector<double>& att_probs = Game::kDefenderIsRow
+                                               ? restricted.col_strategy
+                                               : restricted.row_strategy;
+    snap.def_probs = def_probs;
+    snap.att_probs = att_probs;
     snap.value = restricted.value;
     snap.valid = true;
 
-    // Defender oracle: best tuple against the attacker's restricted mix.
-    std::vector<double> masses(n, 0.0);
-    for (std::size_t v = 0; v < vertices.size(); ++v)
-      masses[vertices[v]] += restricted.col_strategy[v];
-    const BestTupleSearch br_search = best_tuple_branch_and_bound_budgeted(
-        game, masses, budget.oracle_node_budget, obs, fault, budget.cancel);
-    const BestTuple& br_tuple = br_search.best;
-    any_truncated = any_truncated || br_search.truncated;
-    // value <= (true max coverage vs this attacker mix); when the oracle
-    // was truncated only its completion bound is sound.
-    const double upper_cert =
-        br_search.truncated ? br_search.upper_bound : br_tuple.mass;
+    const DefenderReply def =
+        view.defender_reply(vertices, att_probs, budget, obs, fault);
+    any_truncated = any_truncated || def.search.truncated;
+    const AttackerReply att =
+        view.attacker_reply(restricted_hit(g, tuples, def_probs));
+    const Tuple& br_tuple = def.search.best.tuple;
 
-    // Attacker oracle: minimum-hit vertex against the defender's mix.
-    std::vector<double> hit(n, 0.0);
-    for (std::size_t t = 0; t < tuples.size(); ++t) {
-      if (restricted.row_strategy[t] <= 0) continue;
-      for (graph::Vertex v : tuple_vertices(g, tuples[t]))
-        hit[v] += restricted.row_strategy[t];
-    }
-    const auto min_it = std::min_element(hit.begin(), hit.end());
-    const double attacker_br_value = *min_it;
-    const auto br_vertex =
-        static_cast<graph::Vertex>(min_it - hit.begin());
-
-    best_lower = std::max(best_lower, attacker_br_value);
-    best_upper = std::min(best_upper, upper_cert);
-
-    const bool defender_closed =
-        br_tuple.mass <= restricted.value + tolerance;
-    const bool attacker_closed =
-        attacker_br_value >= restricted.value - tolerance;
+    const Reply& row = Game::kDefenderIsRow ? def.payoff : att.payoff;
+    const Reply& col = Game::kDefenderIsRow ? att.payoff : def.payoff;
+    best_lower = std::max(best_lower, col.certificate);
+    best_upper = std::min(best_upper, row.certificate);
+    const bool row_closed = row.value <= restricted.value + opts.tolerance;
+    const bool col_closed = col.value >= restricted.value - opts.tolerance;
+    const bool defender_closed = Game::kDefenderIsRow ? row_closed : col_closed;
+    const bool attacker_closed = Game::kDefenderIsRow ? col_closed : row_closed;
 
     // When an "improving" best response is already in the working set the
     // residual gap is pure LP round-off (the restricted LP should have
     // priced that strategy in); accept the equilibrium if the gap is
     // negligible.
     const bool defender_stalled =
-        !defender_closed && std::find(tuples.begin(), tuples.end(),
-                                      br_tuple.tuple) != tuples.end();
+        !defender_closed &&
+        std::find(tuples.begin(), tuples.end(), br_tuple) != tuples.end();
     const bool attacker_stalled =
         !attacker_closed && std::find(vertices.begin(), vertices.end(),
-                                      br_vertex) != vertices.end();
-    const double gap = std::max(br_tuple.mass - restricted.value,
-                                restricted.value - attacker_br_value);
+                                      att.vertex) != vertices.end();
+    const double gap = std::max(row.value - restricted.value,
+                                restricted.value - col.value);
     if (obs != nullptr)
-      record_iteration(obs, "do.iteration", meter, best_lower, best_upper,
-                       gap, tuples.size(), vertices.size(), br_search.nodes);
+      record_iteration(obs, Game::kIterationEvent, meter, best_lower,
+                       best_upper, gap, tuples.size(), vertices.size(),
+                       def.search.nodes);
     const bool converged =
         (defender_closed || defender_stalled) &&
         (attacker_closed || attacker_stalled) && gap <= kStallSlack;
     if (converged) {
-      if (br_search.truncated)
+      if (def.search.truncated)
         return finish(StatusCode::kIterationLimit,
                       "oracle node budget truncated the final best-response "
                       "certification; bounds are sound but not tight",
@@ -428,297 +585,28 @@ Solved<DoubleOracleResult> solve_double_oracle_resumable(
     // Grow the working sets with the improving best responses.
     bool grew = false;
     if (!defender_closed &&
-        std::find(tuples.begin(), tuples.end(), br_tuple.tuple) ==
-            tuples.end()) {
-      tuples.push_back(br_tuple.tuple);
+        std::find(tuples.begin(), tuples.end(), br_tuple) == tuples.end()) {
+      tuples.push_back(br_tuple);
       grew = true;
     }
-    if (!attacker_closed &&
-        std::find(vertices.begin(), vertices.end(), br_vertex) ==
-            vertices.end()) {
-      vertices.push_back(br_vertex);
+    if (!attacker_closed && std::find(vertices.begin(), vertices.end(),
+                                      att.vertex) == vertices.end()) {
+      vertices.push_back(att.vertex);
       grew = true;
     }
     if (!grew)
-      return finish(StatusCode::kNumericallyUnstable,
-                    "double oracle stalled: an improving best response was "
-                    "already in the working set (numerical tolerance too "
-                    "tight); returning best-so-far certified bounds",
+      return finish(StatusCode::kNumericallyUnstable, Game::kStalled,
                     restricted.value, gap);
   }
 }
 
-Solved<DoubleOracleResult> solve_double_oracle_budgeted(
-    const TupleGame& game, double tolerance, const SolveBudget& budget,
-    obs::ObsContext* obs, fault::FaultContext* fault) {
-  return solve_double_oracle_resumable(game, tolerance, budget, ResumeHooks{},
-                                       obs, fault);
-}
+}  // namespace
 
-Solved<DoubleOracleResult> solve_weighted_double_oracle_resumable(
-    const TupleGame& game, std::span<const double> weights, double tolerance,
-    const SolveBudget& budget, const ResumeHooks& hooks, obs::ObsContext* obs,
-    fault::FaultContext* fault) {
-  const graph::Graph& g = game.graph();
-  const std::size_t n = g.num_vertices();
-  DEF_REQUIRE(weights.size() == n, "one damage weight per vertex");
-  for (double w : weights)
-    DEF_REQUIRE(w > 0, "damage weights must be strictly positive");
-  std::size_t base_iterations = 0;
-  if (hooks.resume != nullptr) {
-    Status check = validate_do_checkpoint(
-        *hooks.resume, SolverKind::kWeightedDoubleOracle, game);
-    if (!check.ok()) {
-      Solved<DoubleOracleResult> out;
-      out.status = std::move(check);
-      return out;
-    }
-    base_iterations = hooks.resume->iterations;
-  }
-  BudgetMeter meter(budget);
-  obs::Span solve_span;
-  if (obs != nullptr)
-    solve_span = open_solve_span(obs, "do.weighted.solve", game, tolerance);
-
-  // Damage value lives in [0, max weight] a priori.
-  std::vector<Tuple> tuples;
-  std::vector<graph::Vertex> vertices;
-  double best_lower = 0.0;
-  double best_upper = *std::max_element(weights.begin(), weights.end());
-  bool any_truncated = false;
-  if (hooks.resume != nullptr) {
-    tuples = hooks.resume->tuples;
-    vertices = hooks.resume->vertices;
-    best_lower = hooks.resume->best_lower;
-    best_upper = hooks.resume->best_upper;
-    any_truncated = hooks.resume->any_truncated;
-  } else {
-    // Seed with the defender's best response to a uniform attacker and the
-    // most valuable vertex (the attacker's first instinct).
-    std::vector<double> seed_mass(n);
-    for (std::size_t v = 0; v < n; ++v)
-      seed_mass[v] = weights[v] / static_cast<double>(n);
-    BestTupleSearch seed = best_tuple_branch_and_bound_budgeted(
-        game, seed_mass, budget.oracle_node_budget, obs, fault);
-    tuples.push_back(seed.best.tuple);
-    vertices.push_back(static_cast<graph::Vertex>(
-        std::max_element(weights.begin(), weights.end()) - weights.begin()));
-    any_truncated = seed.truncated;
-  }
-  RestrictedSnapshot snap;
-
-  const auto finish = [&](StatusCode code, std::string message,
-                          double value_hint, double gap) {
-    DoubleOracleResult r;
-    r.lower_bound = best_lower;
-    r.upper_bound = std::max(best_upper, best_lower);
-    r.value = std::clamp(value_hint, r.lower_bound, r.upper_bound);
-    r.gap = std::max(0.0, gap);
-    auto [def, att] = extract_mixes(tuples, vertices, snap.def_probs,
-                                    snap.att_probs);
-    r.defender = std::move(def);
-    r.attacker = std::move(att);
-    r.iterations = base_iterations + meter.iterations();
-    r.defender_set_size = tuples.size();
-    r.attacker_set_size = vertices.size();
-    r.approximate = any_truncated || code != StatusCode::kOk;
-    if (hooks.capture != nullptr) {
-      SolverCheckpoint cp;
-      cp.solver = SolverKind::kWeightedDoubleOracle;
-      cp.n = n;
-      cp.m = g.num_edges();
-      cp.k = game.k();
-      cp.iterations = r.iterations;
-      cp.best_lower = best_lower;
-      cp.best_upper = best_upper;
-      cp.any_truncated = any_truncated;
-      cp.tuples = tuples;
-      cp.vertices = vertices;
-      *hooks.capture = std::move(cp);
-    }
-    Solved<DoubleOracleResult> out;
-    out.result = std::move(r);
-    out.status = code == StatusCode::kOk
-                     ? Status::make_ok(base_iterations + meter.iterations(),
-                                       gap, meter.elapsed_seconds())
-                     : Status::make(code, std::move(message),
-                                    base_iterations + meter.iterations(),
-                                    r.upper_bound - r.lower_bound,
-                                    meter.elapsed_seconds());
-    if (obs != nullptr)
-      record_finish(obs, "do.weighted", solve_span, out,
-                    meter.elapsed_seconds() * 1e3);
-    return out;
-  };
-
-  while (true) {
-    fault::perturb_clock(fault);
-    if (meter.out_of_iterations())
-      return finish(StatusCode::kIterationLimit,
-                    "weighted double oracle iteration budget exhausted; "
-                    "returning best-so-far certified bounds",
-                    snap.valid ? snap.value : 0.5 * (best_lower + best_upper),
-                    best_upper - best_lower);
-    if (meter.deadline_exceeded())
-      return finish(StatusCode::kDeadlineExceeded,
-                    "weighted double oracle wall-clock deadline expired; "
-                    "returning best-so-far certified bounds",
-                    snap.valid ? snap.value : 0.5 * (best_lower + best_upper),
-                    best_upper - best_lower);
-    if (meter.cancel_requested())
-      return finish(StatusCode::kCancelled,
-                    "weighted double oracle cancelled; returning "
-                    "best-so-far certified bounds",
-                    snap.valid ? snap.value : 0.5 * (best_lower + best_upper),
-                    best_upper - best_lower);
-    meter.charge_iteration();
-
-    // Restricted damage game: rows = working vertices (attacker,
-    // maximizer), cols = working tuples (defender, minimizer).
-    lp::Matrix damage(vertices.size(), tuples.size());
-    for (std::size_t t = 0; t < tuples.size(); ++t) {
-      const graph::VertexSet covered = tuple_vertices(g, tuples[t]);
-      for (std::size_t v = 0; v < vertices.size(); ++v)
-        damage.at(v, t) = graph::contains(covered, vertices[v])
-                              ? 0.0
-                              : weights[vertices[v]];
-    }
-    SolveBudget lp_budget;
-    lp_budget.cancel = budget.cancel;
-    if (budget.wall_clock_seconds > 0)
-      lp_budget.wall_clock_seconds = std::max(
-          1e-3, budget.wall_clock_seconds - meter.elapsed_seconds());
-    const Solved<lp::MatrixGameSolution> lp_solved =
-        lp::solve_matrix_game_budgeted(damage, lp_budget, obs, fault);
-    if (lp_solved.status.code == StatusCode::kCancelled)
-      return finish(StatusCode::kCancelled,
-                    "weighted double oracle cancelled inside the restricted "
-                    "LP; returning best-so-far certified bounds",
-                    snap.valid ? snap.value : 0.5 * (best_lower + best_upper),
-                    best_upper - best_lower);
-    if (!lp_solved.ok() &&
-        lp_solved.status.code != StatusCode::kNumericallyUnstable)
-      return finish(StatusCode::kDeadlineExceeded,
-                    "restricted LP ran out of time mid-iteration: " +
-                        lp_solved.status.message,
-                    snap.valid ? snap.value : 0.5 * (best_lower + best_upper),
-                    best_upper - best_lower);
-    const lp::MatrixGameSolution& restricted = lp_solved.result;
-    // Attacker is the row player here; defender probabilities live on cols.
-    snap.def_probs = restricted.col_strategy;
-    snap.att_probs = restricted.row_strategy;
-    snap.value = restricted.value;
-    snap.valid = true;
-
-    // Defender oracle: concede the least damage against the attacker's
-    // restricted mix = maximize covered weighted mass.
-    std::vector<double> masses(n, 0.0);
-    double total_weighted = 0;
-    for (std::size_t v = 0; v < vertices.size(); ++v) {
-      masses[vertices[v]] += weights[vertices[v]] * restricted.row_strategy[v];
-      total_weighted += weights[vertices[v]] * restricted.row_strategy[v];
-    }
-    const BestTupleSearch br_search = best_tuple_branch_and_bound_budgeted(
-        game, masses, budget.oracle_node_budget, obs, fault, budget.cancel);
-    const BestTuple& br_tuple = br_search.best;
-    any_truncated = any_truncated || br_search.truncated;
-    const double defender_br_damage = total_weighted - br_tuple.mass;
-    // value >= (total − true max coverage); under truncation only the
-    // completion bound certifies the coverage, hence the damage floor.
-    const double lower_cert =
-        total_weighted -
-        (br_search.truncated ? br_search.upper_bound : br_tuple.mass);
-
-    // Attacker oracle: the most damaging vertex against the defender mix.
-    std::vector<double> hit(n, 0.0);
-    for (std::size_t t = 0; t < tuples.size(); ++t) {
-      if (restricted.col_strategy[t] <= 0) continue;
-      for (graph::Vertex v : tuple_vertices(g, tuples[t]))
-        hit[v] += restricted.col_strategy[t];
-    }
-    double attacker_br_damage = -1;
-    graph::Vertex br_vertex = 0;
-    for (std::size_t v = 0; v < n; ++v) {
-      const double d = weights[v] * (1.0 - hit[v]);
-      if (d > attacker_br_damage) {
-        attacker_br_damage = d;
-        br_vertex = static_cast<graph::Vertex>(v);
-      }
-    }
-
-    best_lower = std::max(best_lower, lower_cert);
-    best_upper = std::min(best_upper, attacker_br_damage);
-
-    const bool attacker_closed =
-        attacker_br_damage <= restricted.value + tolerance;
-    const bool defender_closed =
-        defender_br_damage >= restricted.value - tolerance;
-    const bool attacker_stalled =
-        !attacker_closed && std::find(vertices.begin(), vertices.end(),
-                                      br_vertex) != vertices.end();
-    const bool defender_stalled =
-        !defender_closed && std::find(tuples.begin(), tuples.end(),
-                                      br_tuple.tuple) != tuples.end();
-    const double gap = std::max(attacker_br_damage - restricted.value,
-                                restricted.value - defender_br_damage);
-    if (obs != nullptr)
-      record_iteration(obs, "do.weighted.iteration", meter, best_lower,
-                       best_upper, gap, tuples.size(), vertices.size(),
-                       br_search.nodes);
-    if ((attacker_closed || attacker_stalled) &&
-        (defender_closed || defender_stalled) && gap <= kStallSlack) {
-      if (br_search.truncated)
-        return finish(StatusCode::kIterationLimit,
-                      "oracle node budget truncated the final best-response "
-                      "certification; bounds are sound but not tight",
-                      restricted.value, best_upper - best_lower);
-      return finish(StatusCode::kOk, {}, restricted.value, gap);
-    }
-
-    bool grew = false;
-    if (!defender_closed &&
-        std::find(tuples.begin(), tuples.end(), br_tuple.tuple) ==
-            tuples.end()) {
-      tuples.push_back(br_tuple.tuple);
-      grew = true;
-    }
-    if (!attacker_closed &&
-        std::find(vertices.begin(), vertices.end(), br_vertex) ==
-            vertices.end()) {
-      vertices.push_back(br_vertex);
-      grew = true;
-    }
-    if (!grew)
-      return finish(StatusCode::kNumericallyUnstable,
-                    "weighted double oracle stalled outside the accepted "
-                    "gap; returning best-so-far certified bounds",
-                    restricted.value, gap);
-  }
-}
-
-Solved<DoubleOracleResult> solve_weighted_double_oracle_budgeted(
-    const TupleGame& game, std::span<const double> weights, double tolerance,
-    const SolveBudget& budget, obs::ObsContext* obs,
-    fault::FaultContext* fault) {
-  return solve_weighted_double_oracle_resumable(game, weights, tolerance,
-                                                budget, ResumeHooks{}, obs,
-                                                fault);
-}
-
-DoubleOracleResult solve_double_oracle(const TupleGame& game,
-                                       double tolerance,
-                                       std::size_t max_iterations) {
-  Solved<DoubleOracleResult> solved = solve_double_oracle_budgeted(
-      game, tolerance, SolveBudget::iterations(max_iterations));
-  return std::move(solved).value_or_throw();
-}
-
-DoubleOracleResult solve_weighted_double_oracle(
-    const TupleGame& game, std::span<const double> weights, double tolerance,
-    std::size_t max_iterations) {
-  Solved<DoubleOracleResult> solved = solve_weighted_double_oracle_budgeted(
-      game, weights, tolerance, SolveBudget::iterations(max_iterations));
-  return std::move(solved).value_or_throw();
+Solved<DoubleOracleResult> solve_double_oracle(const TupleGame& game,
+                                               const SolveOptions& opts) {
+  if (opts.weights.empty()) return run_double_oracle(HitGame{game}, opts);
+  validate_weights(game, opts.weights);
+  return run_double_oracle(DamageGame{game, opts.weights}, opts);
 }
 
 }  // namespace defender::core

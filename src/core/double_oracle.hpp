@@ -14,24 +14,27 @@
 // and in practice the final supports stay tiny (experiment E17 solves
 // boards with > 10^12 tuples in a few iterations).
 //
-// Budgeted route: the *_budgeted entry points accept a SolveBudget and
-// degrade gracefully. Every outer iteration certifies a bracket on the game
-// value — the defender's restricted mix guarantees at least the attacker's
-// best-response payoff (lower bound) and the attacker's restricted mix caps
-// the defender at its best-response mass (upper bound) — so when the
-// iteration or wall-clock budget runs out the solver returns its
-// best-so-far mixes with that certified bracket and a kIterationLimit /
-// kDeadlineExceeded status instead of throwing.
-// Fault injection & resume: the *_resumable entry points additionally take
-// core::ResumeHooks (checkpoint capture/restore — see core/checkpoint.hpp)
-// and a nullable fault::FaultContext that deterministically perturbs the
-// oracle, the restricted LP, and the clock. Every certified bound is
-// re-derived from authoritative data after any injected corruption, so the
-// returned bracket stays sound under any fault schedule.
+// One entry point, solve_double_oracle, serves both games: the hit game
+// and, with non-empty SolveOptions::weights, the damage-weighted game of
+// core/weighted.hpp. They differ only in payoff; one loop runs both.
+//
+// Budgets degrade gracefully. Every outer iteration certifies a bracket on
+// the game value — the defender's restricted mix guarantees at least the
+// attacker's best-response payoff and the attacker's restricted mix caps
+// the defender at its best-response payoff — so when the iteration or
+// wall-clock budget runs out the solver returns its best-so-far mixes with
+// that certified bracket and a kIterationLimit / kDeadlineExceeded status
+// instead of throwing.
+//
+// Fault injection & resume: SolveOptions carries checkpoint capture/
+// restore slots (core/checkpoint.hpp) and a nullable fault::FaultContext
+// that deterministically perturbs the oracle, the restricted LP, and the
+// clock. Every certified bound is re-derived from authoritative data after
+// any injected corruption, so the returned bracket stays sound under any
+// fault schedule.
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 #include "core/budget.hpp"
 #include "core/checkpoint.hpp"
@@ -39,10 +42,6 @@
 #include "core/game.hpp"
 #include "core/status.hpp"
 #include "obs/context.hpp"
-
-namespace defender::fault {
-class FaultContext;
-}  // namespace defender::fault
 
 namespace defender::core {
 
@@ -76,73 +75,37 @@ struct DoubleOracleResult {
   bool approximate = false;
 };
 
-/// Budget-bounded solve with graceful degradation; never throws on budget
-/// exhaustion or an oracle stall (those return kIterationLimit /
-/// kDeadlineExceeded / kNumericallyUnstable with best-so-far bounds).
+/// Solves the zero-sum view of Π_k(G) within `opts.tolerance`. Never
+/// throws on budget exhaustion or an oracle stall: those return
+/// kIterationLimit / kDeadlineExceeded / kCancelled / kNumericallyUnstable
+/// with best-so-far certified bounds (callers that want an exception use
+/// value_or_throw()).
 ///
-/// Observability: with a non-null `obs`, the solve opens a `do.solve` trace
-/// span, emits one `do.iteration` event + ConvergenceRecorder sample per
-/// outer iteration (running bracket, instantaneous gap, working-set sizes,
-/// oracle node count), finishes with a `do.finish` event matching the
-/// returned Status, and maintains the do.* / oracle.* / lp.* metrics. The
-/// default null context records nothing, costs one branch per hook, and
-/// leaves results bit-for-bit identical.
+/// Non-empty `opts.weights` (one strictly positive weight per vertex)
+/// solves the damage-weighted game instead: `value` is then the minimax
+/// expected damage per attacker, which the attacker maximizes. Same oracles
+/// with masses scaled by w, so it reaches instances far beyond
+/// damage_matrix's enumeration cap.
 ///
-/// Fault injection: a non-null `fault` is forwarded to the oracle and the
-/// restricted LP and perturbs the clock once per outer iteration; the
-/// default null context costs one branch per hook and leaves results
-/// bit-for-bit identical.
-Solved<DoubleOracleResult> solve_double_oracle_budgeted(
-    const TupleGame& game, double tolerance, const SolveBudget& budget,
-    obs::ObsContext* obs = nullptr, fault::FaultContext* fault = nullptr);
-
-/// Damage-weighted budgeted solve (see solve_weighted_double_oracle); same
-/// observability and fault contract under the `do.weighted.*` event names.
-Solved<DoubleOracleResult> solve_weighted_double_oracle_budgeted(
-    const TupleGame& game, std::span<const double> weights, double tolerance,
-    const SolveBudget& budget, obs::ObsContext* obs = nullptr,
-    fault::FaultContext* fault = nullptr);
-
-/// Checkpointable solve: exactly solve_double_oracle_budgeted plus resume/
-/// capture hooks. With `hooks.resume` set, the working sets, certified
-/// bracket, and cumulative iteration count are restored from the checkpoint
-/// (validated first — wrong solver kind, version, or game shape comes back
-/// as kInvalidInput) and the seeding oracle call is skipped. With
-/// `hooks.capture` set, the final loop state is written there on every exit
+/// Resume: with `opts.resume` set, the working sets, certified bracket and
+/// cumulative iteration count are restored from the checkpoint (validated
+/// first — wrong solver kind, version, or game shape comes back as
+/// kInvalidInput) and the seeding oracle call is skipped. With
+/// `opts.capture` set, the final loop state is written there on every exit
 /// path. The loop body is a deterministic function of that state, so
-/// killing a solve at iteration i and resuming reproduces the
+/// stopping a solve at iteration i and resuming reproduces the
 /// uninterrupted run's trajectory: same final status code, same bracket.
-Solved<DoubleOracleResult> solve_double_oracle_resumable(
-    const TupleGame& game, double tolerance, const SolveBudget& budget,
-    const ResumeHooks& hooks, obs::ObsContext* obs = nullptr,
-    fault::FaultContext* fault = nullptr);
-
-/// Checkpointable damage-weighted solve; same contract as
-/// solve_double_oracle_resumable with SolverKind::kWeightedDoubleOracle
-/// checkpoints.
-Solved<DoubleOracleResult> solve_weighted_double_oracle_resumable(
-    const TupleGame& game, std::span<const double> weights, double tolerance,
-    const SolveBudget& budget, const ResumeHooks& hooks,
-    obs::ObsContext* obs = nullptr, fault::FaultContext* fault = nullptr);
-
-/// Solves the zero-sum view of Π_k(G) exactly (within `tolerance`).
-/// Legacy throwing wrapper over the budgeted solver: `max_iterations`
-/// bounds the outer loop and ContractViolation is thrown if the gap fails
-/// to close within the bound (which would indicate a numerical problem,
-/// not a modelling one).
-DoubleOracleResult solve_double_oracle(const TupleGame& game,
-                                       double tolerance = 1e-9,
-                                       std::size_t max_iterations = 500);
-
-/// Damage-weighted double oracle (see core/weighted.hpp): computes the
-/// minimax expected damage per attacker over the full E^k. `value` is the
-/// damage value (the attacker maximizes it), `defender`/`attacker` the
-/// optimal mixes. Same oracles as the unweighted solver with masses scaled
-/// by w, so it reaches instances far beyond damage_matrix's enumeration
-/// cap. Requires one strictly positive weight per vertex. Legacy throwing
-/// wrapper, like solve_double_oracle.
-DoubleOracleResult solve_weighted_double_oracle(
-    const TupleGame& game, std::span<const double> weights,
-    double tolerance = 1e-9, std::size_t max_iterations = 500);
+///
+/// Observability: with a non-null `opts.obs`, the solve opens a `do.solve`
+/// trace span, emits one `do.iteration` event + ConvergenceRecorder sample
+/// per outer iteration (running bracket, instantaneous gap, working-set
+/// sizes, oracle node count), finishes with a `do.finish` event matching
+/// the returned Status, and maintains the do.* / oracle.* / lp.* metrics.
+/// The damage game uses the `do.weighted.*` names.
+///
+/// Fault injection: a non-null `opts.fault` is forwarded to the oracle and
+/// the restricted LP and perturbs the clock once per outer iteration.
+Solved<DoubleOracleResult> solve_double_oracle(const TupleGame& game,
+                                               const SolveOptions& opts = {});
 
 }  // namespace defender::core

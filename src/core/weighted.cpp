@@ -15,40 +15,17 @@ void validate_weights(const TupleGame& game,
     DEF_REQUIRE(w > 0, "damage weights must be strictly positive");
 }
 
-std::vector<double> weighted_masses(std::span<const double> weights,
-                                    std::span<const double> masses) {
-  DEF_REQUIRE(weights.size() == masses.size(),
-              "weights and masses must have equal length");
-  std::vector<double> out(weights.size());
-  for (std::size_t i = 0; i < weights.size(); ++i)
-    out[i] = weights[i] * masses[i];
-  return out;
-}
-
 lp::Matrix damage_matrix(const TupleGame& game,
-                         std::span<const double> weights,
-                         std::uint64_t max_tuples) {
+                         std::span<const double> weights) {
   validate_weights(game, weights);
   // Start from the coverage matrix (tuples x vertices) and flip it into
   // damage form (vertices x tuples).
-  const lp::Matrix coverage = coverage_matrix(game, max_tuples);
+  const lp::Matrix coverage = coverage_matrix(game);
   lp::Matrix damage(coverage.cols(), coverage.rows());
   for (std::size_t t = 0; t < coverage.rows(); ++t)
     for (std::size_t v = 0; v < coverage.cols(); ++v)
       damage.at(v, t) = weights[v] * (1.0 - coverage.at(t, v));
   return damage;
-}
-
-WeightedSolution solve_weighted_zero_sum(const TupleGame& game,
-                                         std::span<const double> weights,
-                                         std::uint64_t max_tuples) {
-  const lp::MatrixGameSolution s =
-      lp::solve_matrix_game(damage_matrix(game, weights, max_tuples));
-  WeightedSolution out;
-  out.damage_value = s.value;
-  out.attacker_strategy = s.row_strategy;
-  out.defender_strategy = s.col_strategy;
-  return out;
 }
 
 double expected_damage(const TupleGame& game,

@@ -6,20 +6,19 @@
 // minimize total expected damage, each attacker to maximize its own. The
 // two-player view (defender vs one attacker) is zero-sum in damage with
 //     D[v][t] = w(v) · [v not covered by t],
-// so the simplex substrate solves it exactly: `damage_value` is the
-// minimax damage per attacker, and the optimal defender mix concentrates
-// on tuples shielding the valuable assets. The defender's best response
-// remains a weighted-coverage maximization, so the branch-and-bound oracle
-// (and fictitious play, see sim/fictitious_play.hpp) extends verbatim with
+// so the simplex substrate solves it exactly: solve_zero_sum with weights
+// (core/zero_sum.hpp) returns the minimax damage per attacker, and the
+// optimal defender mix concentrates on tuples shielding the valuable
+// assets. The defender's best response remains a weighted-coverage
+// maximization, so the branch-and-bound oracle — and with it double oracle
+// and fictitious play, given SolveOptions::weights — extends verbatim with
 // masses scaled by w.
 //
 // With w ≡ 1 the damage value is 1 − (hit value): e.g. on C6 with k = 1
 // the unweighted value 1/3 reappears as damage 2/3.
 #pragma once
 
-#include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/configuration.hpp"
 #include "core/game.hpp"
@@ -30,33 +29,13 @@ namespace defender::core {
 /// Validates damage weights: one strictly positive entry per vertex.
 void validate_weights(const TupleGame& game, std::span<const double> weights);
 
-/// Element-wise product w(v) · masses[v] — the defender's best-response
-/// objective under damage weighting (feed to best_tuple*).
-std::vector<double> weighted_masses(std::span<const double> weights,
-                                    std::span<const double> masses);
-
 /// The damage matrix: rows = vertices (attacker, maximizer), columns =
 /// all C(m,k) tuples in lexicographic order (defender, minimizer);
 /// entry w(v) when t misses v, 0 otherwise. Requires
-/// game.num_tuples() <= max_tuples.
+/// game.num_tuples() <= kMaxLpTuples. core::solve_zero_sum with non-empty
+/// weights solves it exactly.
 lp::Matrix damage_matrix(const TupleGame& game,
-                         std::span<const double> weights,
-                         std::uint64_t max_tuples = 20'000);
-
-/// Exact minimax solution of the damage game.
-struct WeightedSolution {
-  /// Expected damage per attacker at equilibrium (the zero-sum value).
-  double damage_value = 0;
-  /// Optimal attacker mix over vertices.
-  std::vector<double> attacker_strategy;
-  /// Optimal defender mix over lexicographic tuple ranks.
-  std::vector<double> defender_strategy;
-};
-
-/// Solves the damage game with the simplex substrate.
-WeightedSolution solve_weighted_zero_sum(const TupleGame& game,
-                                         std::span<const double> weights,
-                                         std::uint64_t max_tuples = 20'000);
+                         std::span<const double> weights);
 
 /// Expected total damage of a mixed configuration:
 /// Σ_v w(v) · m(v) · (1 − P(Hit(v))).

@@ -1,14 +1,15 @@
 #include "core/zero_sum.hpp"
 
+#include "core/weighted.hpp"
 #include "util/assert.hpp"
 #include "util/combinatorics.hpp"
 
 namespace defender::core {
 
-lp::Matrix coverage_matrix(const TupleGame& game, std::uint64_t max_tuples) {
+lp::Matrix coverage_matrix(const TupleGame& game) {
   const std::uint64_t rows = game.num_tuples();
-  DEF_REQUIRE(rows <= max_tuples,
-              "coverage matrix limited to max_tuples defender strategies");
+  DEF_REQUIRE(rows <= kMaxLpTuples,
+              "coverage matrix limited to kMaxLpTuples defender strategies");
   const graph::Graph& g = game.graph();
   lp::Matrix a(static_cast<std::size_t>(rows), g.num_vertices());
   std::size_t row = 0;
@@ -33,29 +34,25 @@ Tuple tuple_at_rank(const TupleGame& game, std::uint64_t rank) {
   return t;
 }
 
-lp::MatrixGameSolution solve_zero_sum(const TupleGame& game,
-                                      std::uint64_t max_tuples) {
-  // Row player = defender (maximizes coverage probability), column player =
-  // attacker (minimizes it). The matrix-game convention matches directly.
-  return lp::solve_matrix_game(coverage_matrix(game, max_tuples));
-}
-
-Solved<lp::MatrixGameSolution> solve_zero_sum_budgeted(
-    const TupleGame& game, const SolveBudget& budget,
-    std::uint64_t max_tuples, obs::ObsContext* obs,
-    fault::FaultContext* fault) {
-  if (game.num_tuples() > max_tuples) {
+Solved<lp::MatrixGameSolution> solve_zero_sum(const TupleGame& game,
+                                              const SolveOptions& opts) {
+  if (game.num_tuples() > kMaxLpTuples) {
     Solved<lp::MatrixGameSolution> out;
     out.status = Status::make(
         StatusCode::kInvalidInput,
         "E^k holds " + std::to_string(game.num_tuples()) +
             " tuples, above the enumeration cap of " +
-            std::to_string(max_tuples) +
+            std::to_string(kMaxLpTuples) +
             "; use the double-oracle solver for this instance");
     return out;
   }
-  return lp::solve_matrix_game_budgeted(coverage_matrix(game, max_tuples),
-                                        budget, obs, fault);
+  // Hit game: row player = defender (maximizes coverage probability),
+  // column player = attacker (minimizes it). The damage game flips the
+  // roles: the attacker maximizes damage over rows.
+  return lp::solve_matrix_game(opts.weights.empty()
+                                   ? coverage_matrix(game)
+                                   : damage_matrix(game, opts.weights),
+                               opts.budget, opts.obs, opts.fault);
 }
 
 MixedConfiguration to_configuration(const TupleGame& game,

@@ -13,7 +13,6 @@
 #include "util/combinatorics.hpp"   // IWYU pragma: export
 #include "util/random.hpp"          // IWYU pragma: export
 #include "util/stats.hpp"           // IWYU pragma: export
-#include "util/stopwatch.hpp"       // IWYU pragma: export
 #include "util/table.hpp"           // IWYU pragma: export
 
 // Substrate: deterministic fault injection (chaos testing).

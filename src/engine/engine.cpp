@@ -25,9 +25,9 @@ namespace defender::engine {
 
 namespace {
 
-/// Enumeration cap for the exact-LP route (job solver and fallback rung) —
-/// the same cap core::solve_zero_sum_budgeted defaults to.
-constexpr std::uint64_t kMaxLpTuples = 20'000;
+/// Watchdog scan interval. The watchdog thread only exists while a batch
+/// containing watchdog-armed jobs is running.
+constexpr double kWatchdogPollSeconds = 0.005;
 
 /// A-priori upper bound on a job's game value: hit probabilities live in
 /// [0, 1]; weighted damage values in [0, max vertex weight].
@@ -87,7 +87,8 @@ std::optional<JobSolver> fallback_for(JobSolver solver, const SolveJob& job) {
     case JobSolver::kZeroSumLp:
       return JobSolver::kDoubleOracle;
     case JobSolver::kDoubleOracle:
-      if (job.game.num_tuples() <= kMaxLpTuples) return JobSolver::kZeroSumLp;
+      if (job.game.num_tuples() <= core::kMaxLpTuples)
+        return JobSolver::kZeroSumLp;
       return std::nullopt;
     case JobSolver::kWeightedDoubleOracle:
       return std::nullopt;  // no second weighted exact solver
@@ -119,7 +120,7 @@ struct AttemptOutput {
   std::vector<double> attacker_probs;
 };
 
-/// Dispatches one attempt to the solver's resumable entry point.
+/// Runs one attempt on `solver` with the job's weights and the given budget.
 /// `hedge_horizon` is the job's original round horizon (fixed across
 /// attempts even as the segment budget grows).
 AttemptOutput run_attempt(const SolveJob& job, JobSolver solver,
@@ -130,9 +131,17 @@ AttemptOutput run_attempt(const SolveJob& job, JobSolver solver,
                           fault::FaultContext* fault) {
   AttemptOutput out;
   out.upper = value_upper_bound(job);
-  core::ResumeHooks hooks;
-  hooks.resume = resume;
-  hooks.capture = &out.checkpoint;
+  // Weighted jobs carry their weights and plain ones none (validate_job),
+  // and a weighted job only falls back to a weighted solver, so the job's
+  // weights select the game for every solver that reads them.
+  SolveOptions opts;
+  opts.budget = budget;
+  opts.tolerance = tolerance;
+  opts.weights = job.weights;
+  opts.resume = resume;
+  opts.capture = &out.checkpoint;
+  opts.obs = obs;
+  opts.fault = fault;
 
   const auto capture_mixes = [&](const core::TupleDistribution& defender,
                                  const core::VertexDistribution& attacker) {
@@ -147,24 +156,24 @@ AttemptOutput run_attempt(const SolveJob& job, JobSolver solver,
     out.attacker_probs.assign(attacker.probs().begin(),
                               attacker.probs().end());
   };
+  // The learning dynamics report their last checkpoint's bounds.
+  const auto take_trace = [&](const auto& solved) {
+    out.status = solved.status;
+    out.captured = true;
+    out.value = solved.result.value_estimate;
+    if (!solved.result.trace.empty()) {
+      out.lower = solved.result.trace.back().lower;
+      out.upper = solved.result.trace.back().upper;
+    } else {
+      out.lower = 0;
+    }
+  };
 
   switch (solver) {
-    case JobSolver::kDoubleOracle: {
-      const Solved<core::DoubleOracleResult> solved =
-          core::solve_double_oracle_resumable(job.game, tolerance, budget,
-                                              hooks, obs, fault);
-      out.status = solved.status;
-      out.captured = true;
-      out.value = solved.result.value;
-      out.lower = solved.result.lower_bound;
-      out.upper = solved.result.upper_bound;
-      capture_mixes(solved.result.defender, solved.result.attacker);
-      break;
-    }
+    case JobSolver::kDoubleOracle:
     case JobSolver::kWeightedDoubleOracle: {
       const Solved<core::DoubleOracleResult> solved =
-          core::solve_weighted_double_oracle_resumable(
-              job.game, job.weights, tolerance, budget, hooks, obs, fault);
+          core::solve_double_oracle(job.game, opts);
       out.status = solved.status;
       out.captured = true;
       out.value = solved.result.value;
@@ -173,55 +182,16 @@ AttemptOutput run_attempt(const SolveJob& job, JobSolver solver,
       capture_mixes(solved.result.defender, solved.result.attacker);
       break;
     }
-    case JobSolver::kFictitiousPlay: {
-      const Solved<sim::FictitiousPlayResult> solved =
-          sim::fictitious_play_resumable(job.game, budget, tolerance, hooks,
-                                         obs, fault);
-      out.status = solved.status;
-      out.captured = true;
-      out.value = solved.result.value_estimate;
-      if (!solved.result.trace.empty()) {
-        out.lower = solved.result.trace.back().lower;
-        out.upper = solved.result.trace.back().upper;
-      } else {
-        out.lower = 0;
-      }
+    case JobSolver::kFictitiousPlay:
+    case JobSolver::kWeightedFictitiousPlay:
+      take_trace(sim::fictitious_play(job.game, opts));
       break;
-    }
-    case JobSolver::kWeightedFictitiousPlay: {
-      const Solved<sim::FictitiousPlayResult> solved =
-          sim::weighted_fictitious_play_resumable(job.game, job.weights,
-                                                  budget, tolerance, hooks,
-                                                  obs, fault);
-      out.status = solved.status;
-      out.captured = true;
-      out.value = solved.result.value_estimate;
-      if (!solved.result.trace.empty()) {
-        out.lower = solved.result.trace.back().lower;
-        out.upper = solved.result.trace.back().upper;
-      } else {
-        out.lower = 0;
-      }
+    case JobSolver::kHedge:
+      take_trace(sim::hedge_dynamics(job.game, hedge_horizon, opts));
       break;
-    }
-    case JobSolver::kHedge: {
-      const Solved<sim::HedgeResult> solved = sim::hedge_dynamics_resumable(
-          job.game, hedge_horizon, budget, tolerance, hooks, obs, fault);
-      out.status = solved.status;
-      out.captured = true;
-      out.value = solved.result.value_estimate;
-      if (!solved.result.trace.empty()) {
-        out.lower = solved.result.trace.back().lower;
-        out.upper = solved.result.trace.back().upper;
-      } else {
-        out.lower = 0;
-      }
-      break;
-    }
     case JobSolver::kZeroSumLp: {
       const Solved<lp::MatrixGameSolution> solved =
-          core::solve_zero_sum_budgeted(job.game, budget, kMaxLpTuples, obs,
-                                        fault);
+          core::solve_zero_sum(job.game, opts);
       out.status = solved.status;
       out.captured = false;  // the LP route has no checkpoint
       out.value = solved.result.value;
@@ -854,8 +824,8 @@ BatchReport SolveEngine::run(const std::vector<SolveJob>& jobs) {
               metrics->counter("engine.deadline_kills").add(1);
           }
         }
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            std::max(1e-4, config_.watchdog_poll_seconds)));
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(kWatchdogPollSeconds));
       }
     });
   }

@@ -50,28 +50,12 @@
 
 namespace defender::engine {
 
-/// How batch jobs are isolated from one another. kThread is the
-/// SolveEngine pool in this translation unit; kProcess asks for the
-/// supervised subprocess pool (src/supervise, docs/SUPERVISION.md), which
-/// reads this config and survives worker segfaults, aborts, and OOM
-/// kills. SolveEngine::run() itself always runs thread-mode; callers that
-/// honour kProcess (defender_cli --isolate, defender_serve
-/// --isolate-workers) construct a supervise::WorkerPool from the same
-/// EngineConfig instead.
-enum class IsolationMode {
-  kThread,
-  kProcess,
-};
-
 /// Engine-wide configuration; plain data.
 struct EngineConfig {
   /// Worker threads. 0 = one per hardware thread; the pool never spawns
   /// more workers than jobs.
   std::size_t workers = 1;
   RetryPolicy retry;
-  /// Watchdog scan interval. The watchdog thread only exists while a
-  /// batch containing watchdog-armed jobs is running.
-  double watchdog_poll_seconds = 0.005;
   /// Shared, thread-safe observability sinks (optional). Each job still
   /// gets its OWN ObsContext pointing at them, plus a per-job
   /// ConvergenceRecorder when collect_convergence is set — never a shared
@@ -100,9 +84,6 @@ struct EngineConfig {
   /// from entries stored mid-batch — keeping results worker-count
   /// invariant (though NOT identical to a cold cache-off run).
   bool cache_warm_start = false;
-  /// Requested isolation level (see IsolationMode). Consumed by the
-  /// supervise layer; SolveEngine::run() ignores it.
-  IsolationMode isolation = IsolationMode::kThread;
 };
 
 /// Outcome of one run(): per-job results in submission order plus batch

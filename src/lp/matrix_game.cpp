@@ -62,17 +62,12 @@ MatrixGameSolution assemble(const Matrix& payoff, const LpSolution& lp,
 
 }  // namespace
 
-Solved<MatrixGameSolution> solve_matrix_game_budgeted(
-    const Matrix& payoff, const SolveBudget& budget, obs::ObsContext* obs,
-    fault::FaultContext* fault) {
-  return solve_matrix_game_budgeted_with(&solve_max, payoff, budget, obs,
-                                         fault);
-}
-
-Solved<MatrixGameSolution> solve_matrix_game_budgeted_with(
-    LpSolveFn solve, const Matrix& payoff, const SolveBudget& budget,
-    obs::ObsContext* obs, fault::FaultContext* fault) {
-  DEF_REQUIRE(solve != nullptr, "matrix-game solve needs an LP backend");
+Solved<MatrixGameSolution> solve_matrix_game(const Matrix& payoff,
+                                             const SolveBudget& budget,
+                                             obs::ObsContext* obs,
+                                             fault::FaultContext* fault,
+                                             LpSolveFn backend) {
+  DEF_REQUIRE(backend != nullptr, "matrix-game solve needs an LP backend");
   const std::size_t rows = payoff.rows();
   const std::size_t cols = payoff.cols();
   BudgetMeter meter(budget);
@@ -94,7 +89,7 @@ Solved<MatrixGameSolution> solve_matrix_game_budgeted_with(
   options.obs = obs;
   options.fault = fault;
   options.cancel = budget.cancel;
-  LpSolution lp = solve(a, b, c, options);
+  LpSolution lp = backend(a, b, c, options);
 
   Solved<MatrixGameSolution> out;
   out.result = assemble(payoff, lp, shift);
@@ -159,12 +154,6 @@ Solved<MatrixGameSolution> solve_matrix_game_budgeted_with(
       break;
   }
   return out;
-}
-
-MatrixGameSolution solve_matrix_game(const Matrix& payoff) {
-  Solved<MatrixGameSolution> solved =
-      solve_matrix_game_budgeted(payoff, SolveBudget::unlimited_budget());
-  return std::move(solved).value_or_throw();
 }
 
 double row_security_level(const Matrix& payoff,

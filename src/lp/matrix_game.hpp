@@ -11,7 +11,7 @@
 // whose value V satisfies game value = 1/V - shift; the row player's
 // optimal mixed strategy falls out of the dual prices.
 //
-// Budgeted route: solve_matrix_game_budgeted never throws on budget
+// Budgets degrade gracefully: solve_matrix_game never throws on budget
 // exhaustion or numerical trouble. Whatever (possibly partial) strategies
 // the LP produced are cleaned into valid mixed strategies and certified by
 // their security levels — any mixed strategy yields a sound bound on the
@@ -46,22 +46,26 @@ struct MatrixGameSolution {
   double upper_bound = 0;
 };
 
-/// Solves the game exactly with the simplex substrate; throws
-/// ContractViolation when the LP fails its numerical verification even
-/// after the automatic tightened re-solve (legacy behaviour — a silently
-/// wrong value is never returned).
-MatrixGameSolution solve_matrix_game(const Matrix& payoff);
+/// LP backend signature of the matrix-game solver: exactly lp::solve_max's
+/// options overload.
+using LpSolveFn = LpSolution (*)(const Matrix&, std::span<const double>,
+                                 std::span<const double>,
+                                 const SimplexOptions&);
 
-/// Budget-bounded solve with graceful degradation. Status codes:
+/// Solves the game with the simplex substrate under `budget` (default
+/// unlimited). Status codes:
 ///   kOk                   exact equilibrium, lower == upper == value;
 ///   kIterationLimit /     the pivot or wall-clock budget ran out; the
 ///   kDeadlineExceeded     returned strategies are valid mixes whose
 ///                         security levels bracket the true value;
-///   kNumericallyUnstable  verification failed after the re-solve; the
-///                         security-level bracket is still certified.
-/// Never throws for any of the above. A non-null `obs` is forwarded to the
-/// simplex substrate (lp.* metrics, per-solve trace events); the default
-/// null context records nothing and costs one branch.
+///   kCancelled            budget.cancel fired mid-pivot;
+///   kNumericallyUnstable  verification failed after the tightened
+///                         re-solve; the security-level bracket is still
+///                         certified.
+/// Never throws for any of the above; callers that want an exception use
+/// value_or_throw(). A non-null `obs` is forwarded to the simplex
+/// substrate (lp.* metrics, per-solve trace events); the default null
+/// context records nothing and costs one branch.
 ///
 /// A non-null `fault` is forwarded to the simplex substrate (pivot
 /// perturbation, forced-unstable verification). Whatever the LP produces,
@@ -70,25 +74,16 @@ MatrixGameSolution solve_matrix_game(const Matrix& payoff);
 /// so the bracket stays sound under any injected fault; an "optimal" LP
 /// whose bracket nonetheless came out wide is demoted to
 /// kNumericallyUnstable rather than reported as kOk.
-Solved<MatrixGameSolution> solve_matrix_game_budgeted(
-    const Matrix& payoff, const SolveBudget& budget,
-    obs::ObsContext* obs = nullptr, fault::FaultContext* fault = nullptr);
-
-/// LP backend signature of the matrix-game solver: exactly lp::solve_max's
-/// options overload.
-using LpSolveFn = LpSolution (*)(const Matrix&, std::span<const double>,
-                                 std::span<const double>,
-                                 const SimplexOptions&);
-
-/// solve_matrix_game_budgeted with an explicit LP backend. Production code
-/// always uses the overload above (which forwards &solve_max); the test
-/// layer passes lp::reference::solve_max here so checkpoint/chaos and
+///
+/// `backend` is the LP seam: production code keeps the default &solve_max;
+/// the test layer passes lp::reference::solve_max so checkpoint/chaos and
 /// differential suites can compare complete game brackets — shift, LP,
 /// strategy cleaning, security levels, status mapping — across the two
 /// simplex substrates bit-for-bit.
-Solved<MatrixGameSolution> solve_matrix_game_budgeted_with(
-    LpSolveFn solve, const Matrix& payoff, const SolveBudget& budget,
-    obs::ObsContext* obs = nullptr, fault::FaultContext* fault = nullptr);
+Solved<MatrixGameSolution> solve_matrix_game(
+    const Matrix& payoff, const SolveBudget& budget = {},
+    obs::ObsContext* obs = nullptr, fault::FaultContext* fault = nullptr,
+    LpSolveFn backend = &solve_max);
 
 /// Best-response value check: the payoff the row player earns by playing
 /// `row_strategy` against the column player's best pure counter-strategy.

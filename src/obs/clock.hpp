@@ -1,7 +1,8 @@
-// The one monotonic time source of the observability layer.
+// The shared monotonic time source: budget meters, traces, metrics and
+// the experiment harness all read it.
 //
 // Before this header existed every timing consumer owned its own
-// steady-clock epoch: BudgetMeter carried a util::Stopwatch, the simplex
+// steady-clock epoch: BudgetMeter carried its own stopwatch, the simplex
 // pivot loop another, and any ad-hoc span timing would have added a third.
 // Epochs that differ by construction order make cross-referencing
 // impossible — a `Status::elapsed_seconds` of 0.8s and a trace span of

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "obs/json.hpp"
+#include "util/json_writer.hpp"
 
 namespace defender::obs {
 
@@ -132,7 +132,7 @@ std::string MetricsRegistry::to_json() const {
     if (s.kind != MetricSnapshot::Kind::kCounter) continue;
     if (!first) out << ',';
     first = false;
-    out << '"' << json_escape(s.name) << "\":" << s.count;
+    out << '"' << util::json_escape(s.name) << "\":" << s.count;
   }
   out << "},\"gauges\":{";
   first = true;
@@ -140,7 +140,8 @@ std::string MetricsRegistry::to_json() const {
     if (s.kind != MetricSnapshot::Kind::kGauge) continue;
     if (!first) out << ',';
     first = false;
-    out << '"' << json_escape(s.name) << "\":" << json_number(s.value);
+    out << '"' << util::json_escape(s.name)
+        << "\":" << util::json_number(s.value);
   }
   out << "},\"histograms\":{";
   first = true;
@@ -148,13 +149,13 @@ std::string MetricsRegistry::to_json() const {
     if (s.kind != MetricSnapshot::Kind::kHistogram) continue;
     if (!first) out << ',';
     first = false;
-    out << '"' << json_escape(s.name) << "\":{\"count\":" << s.count
-        << ",\"sum\":" << json_number(s.value) << ",\"buckets\":[";
+    out << '"' << util::json_escape(s.name) << "\":{\"count\":" << s.count
+        << ",\"sum\":" << util::json_number(s.value) << ",\"buckets\":[";
     for (std::size_t i = 0; i < s.bucket_counts.size(); ++i) {
       if (i) out << ',';
       out << "{\"le\":";
       if (i < s.bucket_bounds.size())
-        out << json_number(s.bucket_bounds[i]);
+        out << util::json_number(s.bucket_bounds[i]);
       else
         out << "\"+Inf\"";
       out << ",\"count\":" << s.bucket_counts[i] << '}';

@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "obs/json.hpp"
+#include "util/json_writer.hpp"
 
 namespace defender::obs {
 
@@ -22,12 +22,12 @@ void append_args(std::ostream& out, const std::vector<TraceArg>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (i) out << ',';
     const TraceArg& a = args[i];
-    out << '"' << json_escape(a.key) << "\":";
+    out << '"' << util::json_escape(a.key) << "\":";
     switch (a.kind) {
-      case TraceArg::Kind::kDouble: out << json_number(a.number); break;
+      case TraceArg::Kind::kDouble: out << util::json_number(a.number); break;
       case TraceArg::Kind::kUint: out << a.uint; break;
       case TraceArg::Kind::kString:
-        out << '"' << json_escape(a.text) << '"';
+        out << '"' << util::json_escape(a.text) << '"';
         break;
     }
   }
@@ -51,7 +51,7 @@ void JsonlSink::write(const TraceEvent& event) {
   if (out_ == nullptr) return;
   std::ostringstream line;
   line << "{\"ph\":\"" << phase_letter(event.phase) << "\",\"name\":\""
-       << json_escape(event.name) << "\",\"ts_us\":" << event.ts_us
+       << util::json_escape(event.name) << "\",\"ts_us\":" << event.ts_us
        << ",\"seq\":" << event.seq << ",\"span\":" << event.span_id
        << ",\"thread\":" << event.thread << ",\"depth\":" << event.depth
        << ",\"args\":";
@@ -81,7 +81,7 @@ void ChromeTraceSink::begin() {
 void ChromeTraceSink::write(const TraceEvent& event) {
   if (out_ == nullptr) return;
   std::ostringstream record;
-  record << "{\"name\":\"" << json_escape(event.name) << "\",\"ph\":\""
+  record << "{\"name\":\"" << util::json_escape(event.name) << "\",\"ph\":\""
          << phase_letter(event.phase) << "\",\"ts\":" << event.ts_us
          << ",\"pid\":1,\"tid\":" << event.thread;
   if (event.phase == TraceEvent::Phase::kInstant) record << ",\"s\":\"t\"";

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "core/payoff.hpp"
+#include "core/weighted.hpp"
 #include "fault/fault.hpp"
 #include "util/assert.hpp"
 
@@ -11,9 +12,6 @@ namespace defender::sim {
 
 namespace {
 
-/// Shared run loop for the plain and weighted dynamics. The two variants
-/// differ only in the defender's oracle objective, the attacker's
-/// best-response rule, and the bound formulas, injected as lambdas below.
 void require_bounded(const SolveBudget& budget, double target_gap) {
   DEF_REQUIRE(budget.max_iterations > 0 || budget.wall_clock_seconds > 0 ||
                   target_gap > 0,
@@ -169,214 +167,124 @@ void record_fp_finish(obs::ObsContext* obs, const std::string& prefix,
   }
 }
 
-}  // namespace
+/// The hit game: the defender's oracle objective is the attacker's
+/// empirical history itself.
+struct HitPlay {
+  static constexpr core::SolverKind kKind = core::SolverKind::kFictitiousPlay;
+  static constexpr const char* kPrefix = "fp";
+  static constexpr const char* kSolveSpan = "fp.solve";
+  static constexpr const char* kCheckpointEvent = "fp.checkpoint";
 
-Solved<FictitiousPlayResult> weighted_fictitious_play_resumable(
-    const core::TupleGame& game, std::span<const double> weights,
-    const SolveBudget& budget, double target_gap,
-    const core::ResumeHooks& hooks, obs::ObsContext* obs,
-    fault::FaultContext* fault) {
-  require_bounded(budget, target_gap);
-  const graph::Graph& g = game.graph();
-  const std::size_t n = g.num_vertices();
-  DEF_REQUIRE(weights.size() == n, "one damage weight per vertex");
-  for (double w : weights)
-    DEF_REQUIRE(w > 0, "damage weights must be strictly positive");
-  if (hooks.resume != nullptr) {
-    Status check = validate_fp_checkpoint(
-        *hooks.resume, core::SolverKind::kWeightedFictitiousPlay, game);
-    if (!check.ok()) {
-      Solved<FictitiousPlayResult> out;
-      out.status = std::move(check);
-      return out;
-    }
-  }
-  BudgetMeter meter(budget);
-  obs::Span run_span;
-  RunningBracket obs_bracket;
-  if (obs != nullptr)
-    run_span = open_fp_span(obs, "fp.weighted.solve", game, target_gap);
+  const core::TupleGame& game;
 
-  std::vector<double> attacker_count(n, 0.0);
-  std::vector<double> defender_cover_count(n, 0.0);
-  for (std::size_t v = 0; v < n; ++v)
-    attacker_count[v] = 1.0 / static_cast<double>(n);
-
-  // Defender objective: maximize covered damage = minimize conceded damage.
-  std::vector<double> objective(n, 0.0);
-  FictitiousPlayResult result;
-  std::size_t next_checkpoint = 1;
-  std::size_t round = 0;    // cumulative across all segments
-  std::size_t segment = 0;  // rounds played by THIS call (budget scope)
-  bool truncated_any = false;
-  StatusCode code = StatusCode::kOk;
-  if (hooks.resume != nullptr) {
-    attacker_count = hooks.resume->attacker_history;
-    defender_cover_count = hooks.resume->defender_history;
-    next_checkpoint = hooks.resume->next_checkpoint;
-    round = hooks.resume->iterations;
-    truncated_any = hooks.resume->any_truncated;
+  const std::vector<double>& objective(
+      const std::vector<double>& attacker_count) {
+    return attacker_count;
   }
 
-  // Certified damage bounds after `rounds` completed rounds.
-  const auto bounds_now = [&](std::size_t rounds_done) {
+  /// The attacker best-responds to the defender's empirical coverage.
+  std::size_t attacker_reply(const std::vector<double>& cover,
+                             std::size_t /*round*/) const {
+    return static_cast<std::size_t>(
+        std::min_element(cover.begin(), cover.end()) - cover.begin());
+  }
+
+  /// Certified hit bounds after `rounds_done` rounds. The attacker history
+  /// has mass (1 + rounds): uniform seed + picks.
+  template <class Oracle>
+  FictitiousPlayTrace bounds(std::size_t rounds_done,
+                             const std::vector<double>& attacker_count,
+                             const std::vector<double>& cover,
+                             const Oracle& best_reply) {
     const double attacker_mass = 1.0 + static_cast<double>(rounds_done);
-    // Upper bound on the damage value: the attacker's best response
-    // against the defender's empirical mix.
-    double upper = 0;
-    for (std::size_t v = 0; v < n; ++v)
-      upper = std::max(
-          upper, weights[v] * (1.0 - defender_cover_count[v] /
-                                         static_cast<double>(rounds_done)));
-    // Lower bound: total weighted attacker mass minus what the defender's
-    // best response covers, normalized per attacker. Under oracle
-    // truncation only the completion bound certifies the coverage.
-    for (std::size_t v = 0; v < n; ++v)
-      objective[v] = weights[v] * attacker_count[v];
-    double total = 0;
-    for (std::size_t v = 0; v < n; ++v) total += objective[v];
-    const core::BestTupleSearch s = core::best_tuple_branch_and_bound_budgeted(
-        game, objective, budget.oracle_node_budget, obs, fault);
-    truncated_any = truncated_any || s.truncated;
-    const double covered = s.truncated ? s.upper_bound : s.best.mass;
-    const double lower = (total - covered) / attacker_mass;
+    const core::BestTupleSearch s = best_reply(attacker_count);
+    const double upper =
+        (s.truncated ? s.upper_bound : s.best.mass) / attacker_mass;
+    const double lower = *std::min_element(cover.begin(), cover.end()) /
+                         static_cast<double>(rounds_done);
     return FictitiousPlayTrace{rounds_done, upper, lower};
-  };
+  }
+};
 
-  while (true) {
-    fault::perturb_clock(fault);
-    if (segment > 0 && meter.out_of_iterations()) {
-      code = target_gap > 0 ? StatusCode::kIterationLimit : StatusCode::kOk;
-      break;
-    }
-    if (round > 0 && meter.deadline_exceeded()) {
-      code = StatusCode::kDeadlineExceeded;
-      break;
-    }
-    if (round > 0 && meter.cancel_requested()) {
-      code = StatusCode::kCancelled;
-      break;
-    }
-    ++round;
-    ++segment;
-    meter.charge_iteration();
+/// The damage game: the defender maximizes covered damage = minimizes
+/// conceded damage, so its oracle objective is w·count.
+struct DamagePlay {
+  static constexpr core::SolverKind kKind =
+      core::SolverKind::kWeightedFictitiousPlay;
+  static constexpr const char* kPrefix = "fp.weighted";
+  static constexpr const char* kSolveSpan = "fp.weighted.solve";
+  static constexpr const char* kCheckpointEvent = "fp.weighted.checkpoint";
 
-    for (std::size_t v = 0; v < n; ++v)
-      objective[v] = weights[v] * attacker_count[v];
-    const core::BestTupleSearch br = core::best_tuple_branch_and_bound_budgeted(
-        game, objective, budget.oracle_node_budget, obs, fault);
-    truncated_any = truncated_any || br.truncated;
-    for (graph::Vertex v : core::tuple_vertices(g, br.best.tuple))
-      defender_cover_count[v] += 1.0;
+  const core::TupleGame& game;
+  std::span<const double> weights;
+  std::vector<double> scaled = std::vector<double>(weights.size(), 0.0);
 
-    // Attacker best response: maximize w(v) * (1 - cover frequency).
+  const std::vector<double>& objective(
+      const std::vector<double>& attacker_count) {
+    for (std::size_t v = 0; v < scaled.size(); ++v)
+      scaled[v] = weights[v] * attacker_count[v];
+    return scaled;
+  }
+
+  /// The attacker maximizes w(v) * (1 - cover frequency).
+  std::size_t attacker_reply(const std::vector<double>& cover,
+                             std::size_t round) const {
     std::size_t best_vertex = 0;
     double best_damage = -1;
-    for (std::size_t v = 0; v < n; ++v) {
+    for (std::size_t v = 0; v < cover.size(); ++v) {
       const double damage =
-          weights[v] *
-          (1.0 - defender_cover_count[v] / static_cast<double>(round));
+          weights[v] * (1.0 - cover[v] / static_cast<double>(round));
       if (damage > best_damage) {
         best_damage = damage;
         best_vertex = v;
       }
     }
-    attacker_count[best_vertex] += 1.0;
-
-    const bool final_round =
-        budget.max_iterations != 0 && segment == budget.max_iterations;
-    if (round == next_checkpoint || final_round) {
-      const FictitiousPlayTrace t = bounds_now(round);
-      result.trace.push_back(t);
-      if (obs != nullptr)
-        record_checkpoint(obs, "fp.weighted.checkpoint", t, obs_bracket,
-                          support_size(defender_cover_count),
-                          support_size(attacker_count),
-                          meter.elapsed_seconds());
-      next_checkpoint = std::max(next_checkpoint + 1, next_checkpoint * 2);
-      if (target_gap > 0 && t.upper - t.lower <= target_gap) {
-        code = StatusCode::kOk;
-        break;
-      }
-    }
+    return best_vertex;
   }
 
-  if (result.trace.empty() || result.trace.back().round != round) {
-    result.trace.push_back(bounds_now(round));
-    if (obs != nullptr)
-      record_checkpoint(obs, "fp.weighted.checkpoint", result.trace.back(),
-                        obs_bracket, support_size(defender_cover_count),
-                        support_size(attacker_count),
-                        meter.elapsed_seconds());
+  /// Certified damage bounds after `rounds_done` rounds.
+  template <class Oracle>
+  FictitiousPlayTrace bounds(std::size_t rounds_done,
+                             const std::vector<double>& attacker_count,
+                             const std::vector<double>& cover,
+                             const Oracle& best_reply) {
+    const double attacker_mass = 1.0 + static_cast<double>(rounds_done);
+    // Upper bound on the damage value: the attacker's best response
+    // against the defender's empirical mix.
+    double upper = 0;
+    for (std::size_t v = 0; v < cover.size(); ++v)
+      upper = std::max(
+          upper,
+          weights[v] * (1.0 - cover[v] / static_cast<double>(rounds_done)));
+    // Lower bound: total weighted attacker mass minus what the defender's
+    // best response covers, normalized per attacker. Under oracle
+    // truncation only the completion bound certifies the coverage.
+    const std::vector<double>& mass = objective(attacker_count);
+    double total = 0;
+    for (double x : mass) total += x;
+    const core::BestTupleSearch s = best_reply(mass);
+    const double covered = s.truncated ? s.upper_bound : s.best.mass;
+    const double lower = (total - covered) / attacker_mass;
+    return FictitiousPlayTrace{rounds_done, upper, lower};
   }
+};
 
-  const FictitiousPlayTrace& last = result.trace.back();
-  result.value_estimate = 0.5 * (last.upper + last.lower);
-  result.gap = last.upper - last.lower;
-  result.rounds = round;
-  result.approximate = truncated_any || code != StatusCode::kOk;
-  result.attacker_frequency = attacker_count;
-  const double attacker_mass = 1.0 + static_cast<double>(round);
-  for (double& c : result.attacker_frequency) c /= attacker_mass;
-  result.defender_hit_frequency = defender_cover_count;
-  for (double& c : result.defender_hit_frequency)
-    c /= static_cast<double>(round);
-
-  if (hooks.capture != nullptr) {
-    core::SolverCheckpoint cp;
-    cp.solver = core::SolverKind::kWeightedFictitiousPlay;
-    cp.n = n;
-    cp.m = g.num_edges();
-    cp.k = game.k();
-    cp.iterations = round;
-    cp.next_checkpoint = next_checkpoint;
-    cp.best_lower = last.lower;
-    cp.best_upper = last.upper;
-    cp.any_truncated = truncated_any;
-    cp.attacker_history = attacker_count;
-    cp.defender_history = defender_cover_count;
-    *hooks.capture = std::move(cp);
-  }
-
-  Solved<FictitiousPlayResult> out;
-  out.status =
-      finish_status(code, round, result.gap, meter.elapsed_seconds());
-  out.result = std::move(result);
-  if (obs != nullptr)
-    record_fp_finish(obs, "fp.weighted", run_span, out,
-                     meter.elapsed_seconds() * 1e3);
-  return out;
-}
-
-Solved<FictitiousPlayResult> weighted_fictitious_play_budgeted(
-    const core::TupleGame& game, std::span<const double> weights,
-    const SolveBudget& budget, double target_gap, obs::ObsContext* obs,
-    fault::FaultContext* fault) {
-  return weighted_fictitious_play_resumable(game, weights, budget, target_gap,
-                                            core::ResumeHooks{}, obs, fault);
-}
-
-FictitiousPlayResult weighted_fictitious_play(
-    const core::TupleGame& game, std::span<const double> weights,
-    std::size_t rounds) {
-  DEF_REQUIRE(rounds >= 1, "fictitious play needs at least one round");
-  // Fixed-round legacy contract: spend exactly `rounds`, always kOk.
-  return weighted_fictitious_play_budgeted(
-             game, weights, SolveBudget::iterations(rounds),
-             /*target_gap=*/0)
-      .result;
-}
-
-Solved<FictitiousPlayResult> fictitious_play_resumable(
-    const core::TupleGame& game, const SolveBudget& budget, double target_gap,
-    const core::ResumeHooks& hooks, obs::ObsContext* obs,
-    fault::FaultContext* fault) {
-  require_bounded(budget, target_gap);
+/// The fictitious-play loop over either game's payoff view: the view holds
+/// the defender's oracle objective, the attacker's best-response rule and
+/// the bound formulas; everything else is shared.
+template <class Game>
+Solved<FictitiousPlayResult> run_fictitious_play(Game& view,
+                                                 const SolveOptions& opts) {
+  const core::TupleGame& game = view.game;
   const graph::Graph& g = game.graph();
   const std::size_t n = g.num_vertices();
-  if (hooks.resume != nullptr) {
-    Status check = validate_fp_checkpoint(
-        *hooks.resume, core::SolverKind::kFictitiousPlay, game);
+  const SolveBudget& budget = opts.budget;
+  const double target_gap = opts.tolerance;
+  obs::ObsContext* const obs = opts.obs;
+  fault::FaultContext* const fault = opts.fault;
+  const core::SolverCheckpoint* const resume = opts.resume;
+  if (resume != nullptr) {
+    Status check = validate_fp_checkpoint(*resume, Game::kKind, game);
     if (!check.ok()) {
       Solved<FictitiousPlayResult> out;
       out.status = std::move(check);
@@ -386,7 +294,7 @@ Solved<FictitiousPlayResult> fictitious_play_resumable(
   BudgetMeter meter(budget);
   obs::Span run_span;
   if (obs != nullptr)
-    run_span = open_fp_span(obs, "fp.solve", game, target_gap);
+    run_span = open_fp_span(obs, Game::kSolveSpan, game, target_gap);
   RunningBracket obs_bracket;
 
   // Histories: how often the attacker stood on v / the defender covered v.
@@ -404,27 +312,24 @@ Solved<FictitiousPlayResult> fictitious_play_resumable(
   std::size_t segment = 0;  // rounds played by THIS call (budget scope)
   bool truncated_any = false;
   StatusCode code = StatusCode::kOk;
-  if (hooks.resume != nullptr) {
-    attacker_count = hooks.resume->attacker_history;
-    defender_cover_count = hooks.resume->defender_history;
-    next_checkpoint = hooks.resume->next_checkpoint;
-    round = hooks.resume->iterations;
-    truncated_any = hooks.resume->any_truncated;
+  if (resume != nullptr) {
+    attacker_count = resume->attacker_history;
+    defender_cover_count = resume->defender_history;
+    next_checkpoint = resume->next_checkpoint;
+    round = resume->iterations;
+    truncated_any = resume->any_truncated;
   }
 
-  const auto bounds_now = [&](std::size_t rounds_done) {
-    // Bounds. Attacker history has mass (1 + rounds): uniform seed + picks.
-    const double attacker_mass = 1.0 + static_cast<double>(rounds_done);
+  // The defender's oracle; every call feeds the truncation flag.
+  const auto best_reply = [&](const std::vector<double>& objective) {
     const core::BestTupleSearch s = core::best_tuple_branch_and_bound_budgeted(
-        game, attacker_count, budget.oracle_node_budget, obs, fault);
+        game, objective, budget.oracle_node_budget, obs, fault);
     truncated_any = truncated_any || s.truncated;
-    const double upper =
-        (s.truncated ? s.upper_bound : s.best.mass) / attacker_mass;
-    const double lower =
-        *std::min_element(defender_cover_count.begin(),
-                          defender_cover_count.end()) /
-        static_cast<double>(rounds_done);
-    return FictitiousPlayTrace{rounds_done, upper, lower};
+    return s;
+  };
+  const auto bounds_now = [&](std::size_t rounds_done) {
+    return view.bounds(rounds_done, attacker_count, defender_cover_count,
+                       best_reply);
   };
 
   while (true) {
@@ -446,18 +351,13 @@ Solved<FictitiousPlayResult> fictitious_play_resumable(
     meter.charge_iteration();
 
     // Defender best-responds to the attacker's empirical distribution.
-    const core::BestTupleSearch br = core::best_tuple_branch_and_bound_budgeted(
-        game, attacker_count, budget.oracle_node_budget, obs, fault);
-    truncated_any = truncated_any || br.truncated;
+    const core::BestTupleSearch br =
+        best_reply(view.objective(attacker_count));
     for (graph::Vertex v : core::tuple_vertices(g, br.best.tuple))
       defender_cover_count[v] += 1.0;
 
     // Attacker best-responds to the defender's empirical coverage.
-    const graph::Vertex best_vertex = static_cast<graph::Vertex>(
-        std::min_element(defender_cover_count.begin(),
-                         defender_cover_count.end()) -
-        defender_cover_count.begin());
-    attacker_count[best_vertex] += 1.0;
+    attacker_count[view.attacker_reply(defender_cover_count, round)] += 1.0;
 
     const bool final_round =
         budget.max_iterations != 0 && segment == budget.max_iterations;
@@ -465,7 +365,7 @@ Solved<FictitiousPlayResult> fictitious_play_resumable(
       const FictitiousPlayTrace t = bounds_now(round);
       result.trace.push_back(t);
       if (obs != nullptr)
-        record_checkpoint(obs, "fp.checkpoint", t, obs_bracket,
+        record_checkpoint(obs, Game::kCheckpointEvent, t, obs_bracket,
                           support_size(defender_cover_count),
                           support_size(attacker_count),
                           meter.elapsed_seconds());
@@ -480,7 +380,7 @@ Solved<FictitiousPlayResult> fictitious_play_resumable(
   if (result.trace.empty() || result.trace.back().round != round) {
     result.trace.push_back(bounds_now(round));
     if (obs != nullptr)
-      record_checkpoint(obs, "fp.checkpoint", result.trace.back(),
+      record_checkpoint(obs, Game::kCheckpointEvent, result.trace.back(),
                         obs_bracket, support_size(defender_cover_count),
                         support_size(attacker_count),
                         meter.elapsed_seconds());
@@ -498,9 +398,9 @@ Solved<FictitiousPlayResult> fictitious_play_resumable(
   for (double& c : result.defender_hit_frequency)
     c /= static_cast<double>(round);
 
-  if (hooks.capture != nullptr) {
+  if (opts.capture != nullptr) {
     core::SolverCheckpoint cp;
-    cp.solver = core::SolverKind::kFictitiousPlay;
+    cp.solver = Game::kKind;
     cp.n = n;
     cp.m = g.num_edges();
     cp.k = game.k();
@@ -511,7 +411,7 @@ Solved<FictitiousPlayResult> fictitious_play_resumable(
     cp.any_truncated = truncated_any;
     cp.attacker_history = attacker_count;
     cp.defender_history = defender_cover_count;
-    *hooks.capture = std::move(cp);
+    *opts.capture = std::move(cp);
   }
 
   Solved<FictitiousPlayResult> out;
@@ -519,24 +419,23 @@ Solved<FictitiousPlayResult> fictitious_play_resumable(
       finish_status(code, round, result.gap, meter.elapsed_seconds());
   out.result = std::move(result);
   if (obs != nullptr)
-    record_fp_finish(obs, "fp", run_span, out,
+    record_fp_finish(obs, Game::kPrefix, run_span, out,
                      meter.elapsed_seconds() * 1e3);
   return out;
 }
 
-Solved<FictitiousPlayResult> fictitious_play_budgeted(
-    const core::TupleGame& game, const SolveBudget& budget, double target_gap,
-    obs::ObsContext* obs, fault::FaultContext* fault) {
-  return fictitious_play_resumable(game, budget, target_gap,
-                                   core::ResumeHooks{}, obs, fault);
-}
+}  // namespace
 
-FictitiousPlayResult fictitious_play(const core::TupleGame& game,
-                                     std::size_t rounds) {
-  DEF_REQUIRE(rounds >= 1, "fictitious play needs at least one round");
-  return fictitious_play_budgeted(game, SolveBudget::iterations(rounds),
-                                  /*target_gap=*/0)
-      .result;
+Solved<FictitiousPlayResult> fictitious_play(const core::TupleGame& game,
+                                             const SolveOptions& opts) {
+  require_bounded(opts.budget, opts.tolerance);
+  if (opts.weights.empty()) {
+    HitPlay view{game};
+    return run_fictitious_play(view, opts);
+  }
+  core::validate_weights(game, opts.weights);
+  DamagePlay view{game, opts.weights};
+  return run_fictitious_play(view, opts);
 }
 
 }  // namespace defender::sim

@@ -8,18 +8,18 @@
 // branch-and-bound tuple oracle, this runs on instances far beyond the LP's
 // enumerable E^k.
 //
-// Budgeted route: fictitious_play_budgeted runs until its upper/lower
-// bracket closes to `target_gap` or the SolveBudget (rounds, wall clock,
-// oracle nodes) runs out, whichever first. Budget exhaustion is graceful:
-// the result carries the best-so-far certified bounds with a
-// kIterationLimit / kDeadlineExceeded status — never an exception.
-// Fault injection & resume: the *_resumable entry points additionally take
-// core::ResumeHooks (checkpoint capture/restore of the empirical histories
-// — see core/checkpoint.hpp) and a nullable fault::FaultContext threaded
-// into the oracle and the clock. Both default to inert and cost one branch.
+// One entry point, fictitious_play, runs both games: the hit game and,
+// with non-empty SolveOptions::weights, the damage-weighted game of
+// core/weighted.hpp. It plays until its upper/lower bracket closes to
+// `opts.tolerance` or the SolveBudget (rounds, wall clock, oracle nodes)
+// runs out, whichever first. Budget exhaustion is graceful: the result
+// carries the best-so-far certified bounds with a kIterationLimit /
+// kDeadlineExceeded status — never an exception. SolveOptions also carries
+// checkpoint capture/restore of the empirical histories (see
+// core/checkpoint.hpp) and a nullable fault::FaultContext threaded into
+// the oracle and the clock; both default to inert and cost one branch.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "core/best_response.hpp"
@@ -28,10 +28,6 @@
 #include "core/game.hpp"
 #include "core/status.hpp"
 #include "obs/context.hpp"
-
-namespace defender::fault {
-class FaultContext;
-}  // namespace defender::fault
 
 namespace defender::sim {
 
@@ -66,66 +62,36 @@ struct FictitiousPlayResult {
   bool approximate = false;
 };
 
-/// Runs `rounds` of simultaneous fictitious play from uniform seeds.
-FictitiousPlayResult fictitious_play(const core::TupleGame& game,
-                                     std::size_t rounds);
-
-/// Budget-bounded fictitious play. Plays rounds until the certified
-/// upper/lower gap is <= `target_gap` (kOk) or the budget runs out
-/// (kIterationLimit / kDeadlineExceeded with best-so-far bounds). With
-/// `target_gap` == 0 the run uses the full round budget and reports kOk on
-/// completion. At least one of {budget.max_iterations,
-/// budget.wall_clock_seconds, target_gap} must bound the run.
+/// Fictitious play from uniform seeds. Plays rounds until the certified
+/// upper/lower gap is <= `opts.tolerance` (kOk) or the budget runs out
+/// (kIterationLimit / kDeadlineExceeded / kCancelled with best-so-far
+/// bounds). With `opts.tolerance` == 0 the run uses the full round budget
+/// and reports kOk on completion. At least one of {budget.max_iterations,
+/// budget.wall_clock_seconds, tolerance} must bound the run.
 ///
-/// Observability: with a non-null `obs`, the run opens an `fp.solve` trace
-/// span, emits one `fp.checkpoint` event + ConvergenceRecorder sample per
-/// bound checkpoint, finishes with an `fp.finish` event matching the
-/// returned Status, and maintains the fp.* / oracle.* metrics. The default
-/// null context records nothing and leaves results bit-for-bit identical.
-Solved<FictitiousPlayResult> fictitious_play_budgeted(
-    const core::TupleGame& game, const SolveBudget& budget,
-    double target_gap = 1e-6, obs::ObsContext* obs = nullptr,
-    fault::FaultContext* fault = nullptr);
-
-/// Checkpointable fictitious play: exactly fictitious_play_budgeted plus
-/// resume/capture hooks. `hooks.resume` restores the attacker/defender
-/// empirical histories and the cumulative round count (validated first —
-/// mismatched solver kind or game shape returns kInvalidInput);
-/// `budget.max_iterations` then bounds the *segment*, while checkpoints,
-/// normalizations, and the reported round count stay cumulative. With
-/// `hooks.capture` set, the final histories are written there on every exit
-/// path. The round loop is a deterministic function of that state, so
-/// kill-at-round-i + resume reproduces the uninterrupted trajectory.
-Solved<FictitiousPlayResult> fictitious_play_resumable(
-    const core::TupleGame& game, const SolveBudget& budget, double target_gap,
-    const core::ResumeHooks& hooks, obs::ObsContext* obs = nullptr,
-    fault::FaultContext* fault = nullptr);
-
-/// Damage-weighted fictitious play (see core/weighted.hpp): the attacker
-/// best-responds with argmax_v w(v)·(1 − cover frequency), the defender
-/// with the w-scaled coverage maximizer. Bounds bracket the minimax
-/// *damage* value: `upper` = attacker's best-response damage against the
-/// defender's empirical mix, `lower` = the damage the defender's best
-/// response concedes to the attacker's empirical mix.
-FictitiousPlayResult weighted_fictitious_play(
-    const core::TupleGame& game, std::span<const double> weights,
-    std::size_t rounds);
-
-/// Budget-bounded weighted fictitious play; same contract as
-/// fictitious_play_budgeted with damage-value bounds and observability
-/// under the `fp.weighted.*` event names.
-Solved<FictitiousPlayResult> weighted_fictitious_play_budgeted(
-    const core::TupleGame& game, std::span<const double> weights,
-    const SolveBudget& budget, double target_gap = 1e-6,
-    obs::ObsContext* obs = nullptr, fault::FaultContext* fault = nullptr);
-
-/// Checkpointable weighted fictitious play; same contract as
-/// fictitious_play_resumable with SolverKind::kWeightedFictitiousPlay
-/// checkpoints.
-Solved<FictitiousPlayResult> weighted_fictitious_play_resumable(
-    const core::TupleGame& game, std::span<const double> weights,
-    const SolveBudget& budget, double target_gap,
-    const core::ResumeHooks& hooks, obs::ObsContext* obs = nullptr,
-    fault::FaultContext* fault = nullptr);
+/// Damage game: with non-empty `opts.weights` the attacker best-responds
+/// with argmax_v w(v)·(1 − cover frequency), the defender with the
+/// w-scaled coverage maximizer, and the bounds bracket the minimax *damage*
+/// value: `upper` = attacker's best-response damage against the defender's
+/// empirical mix, `lower` = the damage the defender's best response
+/// concedes to the attacker's empirical mix.
+///
+/// Resume: `opts.resume` restores the attacker/defender empirical
+/// histories and the cumulative round count (validated first — mismatched
+/// solver kind or game shape returns kInvalidInput); `budget.max_iterations`
+/// then bounds the *segment*, while checkpoints, normalizations, and the
+/// reported round count stay cumulative. With `opts.capture` set, the final
+/// histories are written there on every exit path. The round loop is a
+/// deterministic function of that state, so stopping at round i and
+/// resuming reproduces the uninterrupted trajectory.
+///
+/// Observability: with a non-null `opts.obs`, the run opens an `fp.solve`
+/// trace span, emits one `fp.checkpoint` event + ConvergenceRecorder sample
+/// per bound checkpoint, finishes with an `fp.finish` event matching the
+/// returned Status, and maintains the fp.* / oracle.* metrics; the damage
+/// game uses the `fp.weighted.*` names. The default null context records
+/// nothing and leaves results bit-for-bit identical.
+Solved<FictitiousPlayResult> fictitious_play(const core::TupleGame& game,
+                                             const SolveOptions& opts);
 
 }  // namespace defender::sim

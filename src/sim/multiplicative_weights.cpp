@@ -95,18 +95,23 @@ Status validate_hedge_checkpoint(const core::SolverCheckpoint& cp,
 
 }  // namespace
 
-Solved<HedgeResult> hedge_dynamics_resumable(
-    const core::TupleGame& game, std::size_t horizon,
-    const SolveBudget& budget, double target_gap,
-    const core::ResumeHooks& hooks, obs::ObsContext* obs,
-    fault::FaultContext* fault) {
+Solved<HedgeResult> hedge_dynamics(const core::TupleGame& game,
+                                   std::size_t horizon,
+                                   const SolveOptions& opts) {
   DEF_REQUIRE(horizon >= 1,
               "hedge needs a positive round horizon to fix its learning "
               "rate");
+  DEF_REQUIRE(opts.weights.empty(),
+              "hedge has no damage-weighted variant");
+  const SolveBudget& budget = opts.budget;
+  const double target_gap = opts.tolerance;
+  obs::ObsContext* const obs = opts.obs;
+  fault::FaultContext* const fault = opts.fault;
+  const core::SolverCheckpoint* const resume = opts.resume;
   const graph::Graph& g = game.graph();
   const std::size_t n = g.num_vertices();
-  if (hooks.resume != nullptr) {
-    Status check = validate_hedge_checkpoint(*hooks.resume, game, horizon);
+  if (resume != nullptr) {
+    Status check = validate_hedge_checkpoint(*resume, game, horizon);
     if (!check.ok()) {
       Solved<HedgeResult> out;
       out.status = std::move(check);
@@ -140,13 +145,13 @@ Solved<HedgeResult> hedge_dynamics_resumable(
   std::size_t segment = 0;  // rounds played by THIS call (budget scope)
   bool truncated_any = false;
   StatusCode code = StatusCode::kOk;
-  if (hooks.resume != nullptr) {
-    log_weight = hooks.resume->attacker_history;
-    cover_sum = hooks.resume->defender_history;
-    attacker_sum = hooks.resume->average_history;
-    next_checkpoint = hooks.resume->next_checkpoint;
-    round = hooks.resume->iterations;
-    truncated_any = hooks.resume->any_truncated;
+  if (resume != nullptr) {
+    log_weight = resume->attacker_history;
+    cover_sum = resume->defender_history;
+    attacker_sum = resume->average_history;
+    next_checkpoint = resume->next_checkpoint;
+    round = resume->iterations;
+    truncated_any = resume->any_truncated;
   }
 
   const auto bounds_now = [&](std::size_t rounds_done) {
@@ -245,7 +250,7 @@ Solved<HedgeResult> hedge_dynamics_resumable(
     result.attacker_average[v] =
         attacker_sum[v] / static_cast<double>(round);
 
-  if (hooks.capture != nullptr) {
+  if (opts.capture != nullptr) {
     core::SolverCheckpoint cp;
     cp.solver = core::SolverKind::kHedge;
     cp.n = n;
@@ -260,7 +265,7 @@ Solved<HedgeResult> hedge_dynamics_resumable(
     cp.attacker_history = log_weight;
     cp.defender_history = cover_sum;
     cp.average_history = attacker_sum;
-    *hooks.capture = std::move(cp);
+    *opts.capture = std::move(cp);
   }
 
   Solved<HedgeResult> out;
@@ -308,28 +313,6 @@ Solved<HedgeResult> hedge_dynamics_resumable(
     }
   }
   return out;
-}
-
-Solved<HedgeResult> hedge_dynamics_budgeted(const core::TupleGame& game,
-                                            const SolveBudget& budget,
-                                            double target_gap,
-                                            obs::ObsContext* obs,
-                                            fault::FaultContext* fault) {
-  DEF_REQUIRE(budget.max_iterations >= 1,
-              "hedge needs a positive round horizon to fix its learning "
-              "rate (set budget.max_iterations)");
-  // Single-segment run: the budget's round cap IS the horizon.
-  return hedge_dynamics_resumable(game, budget.max_iterations, budget,
-                                  target_gap, core::ResumeHooks{}, obs,
-                                  fault);
-}
-
-HedgeResult hedge_dynamics(const core::TupleGame& game, std::size_t rounds) {
-  DEF_REQUIRE(rounds >= 1, "hedge needs at least one round");
-  // Fixed-round legacy contract: spend the full horizon, always kOk.
-  return hedge_dynamics_budgeted(game, SolveBudget::iterations(rounds),
-                                 /*target_gap=*/0)
-      .result;
 }
 
 }  // namespace defender::sim

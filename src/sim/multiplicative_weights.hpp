@@ -10,14 +10,14 @@
 // fictitious play's empirical-history dynamics; experiment E11 compares
 // the two convergence profiles head to head.
 //
-// Budgeted route: hedge_dynamics_budgeted stops early once the certified
-// upper/lower bracket closes to `target_gap`, at the wall-clock deadline,
-// or after the full round horizon — always returning best-so-far bounds
-// with a structured status, never throwing on budget exhaustion.
-// Fault injection & resume: hedge_dynamics_resumable takes an explicit
-// round horizon (which fixes η independently of how the run is split into
-// budgeted segments), core::ResumeHooks for checkpoint capture/restore, and
-// a nullable fault::FaultContext threaded into the oracle and the clock.
+// One entry point, hedge_dynamics, stops early once the certified
+// upper/lower bracket closes to `opts.tolerance`, at the wall-clock
+// deadline, or after the full round horizon — always returning best-so-far
+// bounds with a structured status, never throwing on budget exhaustion.
+// The horizon is its own argument: it fixes η independently of how the run
+// is split into budgeted segments, so SolveOptions' checkpoint capture/
+// restore can stop and resume a run without changing its trajectory. A
+// nullable fault::FaultContext is threaded into the oracle and the clock.
 #pragma once
 
 #include <cstddef>
@@ -28,10 +28,6 @@
 #include "core/game.hpp"
 #include "core/status.hpp"
 #include "obs/context.hpp"
-
-namespace defender::fault {
-class FaultContext;
-}  // namespace defender::fault
 
 namespace defender::sim {
 
@@ -62,43 +58,32 @@ struct HedgeResult {
   bool approximate = false;
 };
 
-/// Runs `rounds` of Hedge (learning rate η = sqrt(8·ln n / T), the
-/// horizon-optimal constant) against a best-responding defender.
-HedgeResult hedge_dynamics(const core::TupleGame& game, std::size_t rounds);
-
-/// Budget-bounded Hedge. `budget.max_iterations` must be positive — it is
-/// the horizon T that fixes the learning rate η. Stops at the first of:
-/// certified gap <= `target_gap` (kOk; with target_gap == 0, runs the full
-/// horizon and reports kOk), horizon exhausted with the gap still open
-/// (kIterationLimit), or wall-clock deadline (kDeadlineExceeded). Budget
-/// exhaustion degrades gracefully to best-so-far certified bounds — no
-/// exception.
+/// Hedge (learning rate η = sqrt(8·ln n / T), the horizon-optimal
+/// constant) against a best-responding defender. `horizon` is the total
+/// round horizon T that fixes η across ALL segments and must be >= 1;
+/// `opts.budget.max_iterations` (0 = unlimited) caps only the rounds played
+/// by this call, so a run can be stopped and resumed without changing η or
+/// the trajectory. Reads budget, tolerance (the target gap), resume,
+/// capture, obs and fault; Hedge has no damage-weighted variant, so
+/// `opts.weights` must be empty.
 ///
-/// Observability: with a non-null `obs`, the run opens a `hedge.solve`
+/// Status codes: kOk (gap <= tolerance, or the horizon completed with
+/// tolerance == 0), kIterationLimit (horizon or segment budget exhausted
+/// with the gap open), kDeadlineExceeded, kCancelled. Budget exhaustion
+/// degrades gracefully to best-so-far certified bounds — no exception.
+/// `opts.resume` restores the log-weights and running sums (validated —
+/// wrong solver kind, game shape, horizon mismatch, or a checkpoint already
+/// past the horizon returns kInvalidInput); `opts.capture` receives the
+/// final loop state on every exit path.
+///
+/// Observability: with a non-null `opts.obs`, the run opens a `hedge.solve`
 /// trace span, emits one `hedge.checkpoint` event + ConvergenceRecorder
 /// sample per bound checkpoint, finishes with a `hedge.finish` event
 /// matching the returned Status, and maintains the hedge.* / oracle.*
 /// metrics. The default null context records nothing and leaves results
 /// bit-for-bit identical.
-Solved<HedgeResult> hedge_dynamics_budgeted(
-    const core::TupleGame& game, const SolveBudget& budget,
-    double target_gap = 1e-6, obs::ObsContext* obs = nullptr,
-    fault::FaultContext* fault = nullptr);
-
-/// Checkpointable Hedge. `horizon` is the total round horizon T that fixes
-/// the learning rate η across ALL segments; `budget.max_iterations` (0 =
-/// unlimited) caps only the rounds played by this call, so a run can be
-/// killed and resumed without changing η or the trajectory. `hooks.resume`
-/// restores the log-weights and running sums (validated — wrong solver
-/// kind, game shape, horizon mismatch, or a checkpoint already past the
-/// horizon returns kInvalidInput); `hooks.capture` receives the final loop
-/// state on every exit path. Status codes: kOk (target gap met, or the
-/// horizon completed with target_gap == 0), kIterationLimit (horizon or
-/// segment budget exhausted with the gap open), kDeadlineExceeded.
-Solved<HedgeResult> hedge_dynamics_resumable(
-    const core::TupleGame& game, std::size_t horizon,
-    const SolveBudget& budget, double target_gap,
-    const core::ResumeHooks& hooks, obs::ObsContext* obs = nullptr,
-    fault::FaultContext* fault = nullptr);
+Solved<HedgeResult> hedge_dynamics(const core::TupleGame& game,
+                                   std::size_t horizon,
+                                   const SolveOptions& opts);
 
 }  // namespace defender::sim

@@ -23,8 +23,8 @@ TEST(DoubleOracle, MatchesFullLpOnSmallBoards) {
       if (g.num_edges() < k) continue;
       const TupleGame game(g, k, 1);
       if (game.num_tuples() > 1500) continue;
-      const double full = solve_zero_sum(game).value;
-      const DoubleOracleResult dor = solve_double_oracle(game);
+      const double full = solve_zero_sum(game).value_or_throw().value;
+      const DoubleOracleResult dor = solve_double_oracle(game).value_or_throw();
       EXPECT_NEAR(dor.value, full, 1e-7) << "trial " << trial << " k=" << k;
     }
   }
@@ -34,14 +34,20 @@ TEST(DoubleOracle, MatchesAnalyticValuesOnStructuredBoards) {
   // C6, k: value k/3. Star S6, k: value k/6. C8 PM: 2k/8.
   for (std::size_t k = 1; k <= 3; ++k) {
     EXPECT_NEAR(
-        solve_double_oracle(TupleGame(graph::cycle_graph(6), k, 1)).value,
+        solve_double_oracle(TupleGame(graph::cycle_graph(6), k, 1))
+            .value_or_throw()
+            .value,
         static_cast<double>(k) / 3.0, 1e-7);
   }
   EXPECT_NEAR(
-      solve_double_oracle(TupleGame(graph::star_graph(6), 2, 1)).value,
+      solve_double_oracle(TupleGame(graph::star_graph(6), 2, 1))
+          .value_or_throw()
+          .value,
       2.0 / 6, 1e-7);
   EXPECT_NEAR(
-      solve_double_oracle(TupleGame(graph::cycle_graph(8), 3, 1)).value,
+      solve_double_oracle(TupleGame(graph::cycle_graph(8), 3, 1))
+          .value_or_throw()
+          .value,
       6.0 / 8, 1e-7);
 }
 
@@ -50,8 +56,10 @@ TEST(DoubleOracle, SolvesBeyondEnumerationLimits) {
   // refuses, the double oracle closes in a handful of iterations.
   const graph::Graph g = graph::grid_graph(5, 5);
   const TupleGame game(g, 5, 1);
-  EXPECT_THROW(solve_zero_sum(game), ContractViolation);
-  const DoubleOracleResult dor = solve_double_oracle(game, 1e-9, 500);
+  EXPECT_THROW(solve_zero_sum(game).value_or_throw(), ContractViolation);
+  const DoubleOracleResult dor =
+      solve_double_oracle(game, {.budget = SolveBudget::iterations(500)})
+          .value_or_throw();
   // Analytic: grid 5x5 admits a k-matching NE with |IS| = 13 (the colour
   // class majority), so the unique value is 5/13.
   const auto result = a_tuple_bipartite(game);
@@ -64,7 +72,7 @@ TEST(DoubleOracle, SolvesBeyondEnumerationLimits) {
 
 TEST(DoubleOracle, ResultStrategiesAreAMutualBestResponse) {
   const TupleGame game(graph::grid_graph(3, 4), 3, 2);
-  const DoubleOracleResult dor = solve_double_oracle(game);
+  const DoubleOracleResult dor = solve_double_oracle(game).value_or_throw();
   const MixedConfiguration config =
       symmetric_configuration(game, dor.attacker, dor.defender);
   EXPECT_TRUE(is_mixed_ne_by_best_response(game, config,
@@ -73,7 +81,7 @@ TEST(DoubleOracle, ResultStrategiesAreAMutualBestResponse) {
 
 TEST(DoubleOracle, SupportsStayCompact) {
   const TupleGame game(graph::hypercube_graph(4), 4, 1);
-  const DoubleOracleResult dor = solve_double_oracle(game);
+  const DoubleOracleResult dor = solve_double_oracle(game).value_or_throw();
   EXPECT_NEAR(dor.value, 0.5, 1e-7);  // 2k/n = 8/16 (Q4 has a PM)
   EXPECT_LE(dor.defender.support().size(), dor.defender_set_size);
   EXPECT_GT(dor.iterations, 0u);
@@ -82,11 +90,11 @@ TEST(DoubleOracle, SupportsStayCompact) {
 TEST(DoubleOracle, NonBipartiteBoards) {
   // Petersen, k = 2: perfect matching gives value 2k/n = 0.4.
   const TupleGame game(graph::petersen_graph(), 2, 1);
-  EXPECT_NEAR(solve_double_oracle(game).value, 0.4, 1e-7);
+  EXPECT_NEAR(solve_double_oracle(game).value_or_throw().value, 0.4, 1e-7);
   // C7 (odd, no PM, no partition), k = 1: value is the fractional one 2/7
   // (edge-uniform regular-graph NE).
   const TupleGame c7(graph::cycle_graph(7), 1, 1);
-  EXPECT_NEAR(solve_double_oracle(c7).value, 2.0 / 7, 1e-7);
+  EXPECT_NEAR(solve_double_oracle(c7).value_or_throw().value, 2.0 / 7, 1e-7);
 }
 
 
@@ -97,8 +105,10 @@ TEST(WeightedDoubleOracle, MatchesFullDamageLpOnSmallBoards) {
     const TupleGame game(g, 1, 1);
     std::vector<double> w(g.num_vertices());
     for (double& x : w) x = rng.uniform(0.5, 5.0);
-    const double lp = solve_weighted_zero_sum(game, w).damage_value;
-    const DoubleOracleResult dor = solve_weighted_double_oracle(game, w);
+    const double lp =
+        solve_zero_sum(game, {.weights = w}).value_or_throw().value;
+    const DoubleOracleResult dor =
+        solve_double_oracle(game, {.weights = w}).value_or_throw();
     EXPECT_NEAR(dor.value, lp, 1e-6 + dor.gap) << "trial " << trial;
   }
 }
@@ -107,7 +117,8 @@ TEST(WeightedDoubleOracle, GoldenStarClosedForm) {
   const TupleGame game(graph::star_graph(4), 1, 1);
   std::vector<double> w(5, 1.0);
   w[1] = 9.0;
-  const DoubleOracleResult dor = solve_weighted_double_oracle(game, w);
+  const DoubleOracleResult dor =
+      solve_double_oracle(game, {.weights = w}).value_or_throw();
   EXPECT_NEAR(dor.value, 27.0 / 28.0, 1e-6);
 }
 
@@ -115,8 +126,9 @@ TEST(WeightedDoubleOracle, UnitWeightsComplementTheCoverageValue) {
   for (std::size_t k = 1; k <= 2; ++k) {
     const TupleGame game(graph::cycle_graph(8), k, 1);
     const std::vector<double> w(8, 1.0);
-    const double damage = solve_weighted_double_oracle(game, w).value;
-    const double hit = solve_double_oracle(game).value;
+    const double damage =
+        solve_double_oracle(game, {.weights = w}).value_or_throw().value;
+    const double hit = solve_double_oracle(game).value_or_throw().value;
     EXPECT_NEAR(damage, 1.0 - hit, 1e-6) << "k=" << k;
   }
 }
@@ -128,8 +140,10 @@ TEST(WeightedDoubleOracle, ScalesBeyondTheDamageMatrixCap) {
   const TupleGame game(g, 4, 1);
   std::vector<double> w(36, 1.0);
   w[14] = 20.0;  // an interior high-value host
-  EXPECT_THROW(solve_weighted_zero_sum(game, w), ContractViolation);
-  const DoubleOracleResult dor = solve_weighted_double_oracle(game, w);
+  EXPECT_THROW(solve_zero_sum(game, {.weights = w}).value_or_throw(),
+               ContractViolation);
+  const DoubleOracleResult dor =
+      solve_double_oracle(game, {.weights = w}).value_or_throw();
   EXPECT_GT(dor.value, 0.0);
   EXPECT_LT(dor.value, 1.0);  // the golden host itself must end covered
   EXPECT_LE(dor.gap, 1e-4);

@@ -22,15 +22,16 @@ namespace {
 TupleGame petersen_game() { return TupleGame(graph::petersen_graph(), 2, 2); }
 
 double petersen_value() {
-  static const double value = solve_zero_sum(petersen_game()).value;
+  static const double value =
+      solve_zero_sum(petersen_game()).value_or_throw().value;
   return value;
 }
 
 TEST(DoubleOracleBudget, IterationLimitReturnsCertifiedBracket) {
   const TupleGame game = petersen_game();
   Solved<DoubleOracleResult> solved;
-  EXPECT_NO_THROW(solved = solve_double_oracle_budgeted(
-                      game, 1e-9, SolveBudget::iterations(1)));
+  EXPECT_NO_THROW(solved = solve_double_oracle(
+                      game, {.budget = SolveBudget::iterations(1)}));
   EXPECT_EQ(solved.status.code, StatusCode::kIterationLimit);
   EXPECT_FALSE(solved.status.message.empty());
   EXPECT_TRUE(solved.result.approximate);
@@ -46,8 +47,8 @@ TEST(DoubleOracleBudget, IterationLimitReturnsCertifiedBracket) {
 TEST(DoubleOracleBudget, DeadlineExpiryMidSolve) {
   const TupleGame game = petersen_game();
   Solved<DoubleOracleResult> solved;
-  EXPECT_NO_THROW(solved = solve_double_oracle_budgeted(
-                      game, 1e-9, SolveBudget::deadline(1e-9)));
+  EXPECT_NO_THROW(solved = solve_double_oracle(
+                      game, {.budget = SolveBudget::deadline(1e-9)}));
   EXPECT_EQ(solved.status.code, StatusCode::kDeadlineExceeded);
   EXPECT_LE(solved.result.lower_bound, petersen_value() + 1e-9);
   EXPECT_GE(solved.result.upper_bound, petersen_value() - 1e-9);
@@ -55,8 +56,8 @@ TEST(DoubleOracleBudget, DeadlineExpiryMidSolve) {
 
 TEST(DoubleOracleBudget, UnlimitedBudgetStillSolvesExactly) {
   const TupleGame game = petersen_game();
-  const Solved<DoubleOracleResult> solved = solve_double_oracle_budgeted(
-      game, 1e-9, SolveBudget::unlimited_budget());
+  const Solved<DoubleOracleResult> solved =
+      solve_double_oracle(game, {.budget = SolveBudget::unlimited_budget()});
   ASSERT_TRUE(solved.ok());
   EXPECT_NEAR(solved.result.value, petersen_value(), 1e-6);
   EXPECT_NEAR(solved.result.lower_bound, solved.result.upper_bound, 1e-4);
@@ -70,12 +71,12 @@ TEST(DoubleOracleBudget, OracleNodeBudgetTruncationKeepsBoundsSound) {
   // like Petersen the greedy incumbent meets the bound and the search
   // completes within one node, budget or not).
   const TupleGame game(graph::star_graph(5), 2, 2);
-  const double exact = solve_zero_sum(game).value;
+  const double exact = solve_zero_sum(game).value_or_throw().value;
   SolveBudget budget;
   budget.max_iterations = 50;
   budget.oracle_node_budget = 1;  // truncate every branch-and-bound call
   Solved<DoubleOracleResult> solved;
-  EXPECT_NO_THROW(solved = solve_double_oracle_budgeted(game, 1e-9, budget));
+  EXPECT_NO_THROW(solved = solve_double_oracle(game, {.budget = budget}));
   EXPECT_TRUE(solved.result.approximate);
   EXPECT_LE(solved.result.lower_bound, exact + 1e-9);
   EXPECT_GE(solved.result.upper_bound, exact - 1e-9);
@@ -85,10 +86,11 @@ TEST(WeightedDoubleOracleBudget, IterationLimitBracketsWeightedValue) {
   const TupleGame game = petersen_game();
   const std::vector<double> weights(game.graph().num_vertices(), 2.0);
   const double exact =
-      solve_weighted_double_oracle(game, weights).value;
+      solve_double_oracle(game, {.weights = weights}).value_or_throw().value;
   Solved<DoubleOracleResult> solved;
-  EXPECT_NO_THROW(solved = solve_weighted_double_oracle_budgeted(
-                      game, weights, 1e-9, SolveBudget::iterations(1)));
+  EXPECT_NO_THROW(solved = solve_double_oracle(
+                      game, {.budget = SolveBudget::iterations(1),
+                             .weights = weights}));
   EXPECT_EQ(solved.status.code, StatusCode::kIterationLimit);
   EXPECT_LE(solved.result.lower_bound, exact + 1e-9);
   EXPECT_GE(solved.result.upper_bound, exact - 1e-9);
@@ -120,8 +122,9 @@ TEST(BestResponseBudget, NodeBudgetTruncationReportsCompletionBound) {
 TEST(FictitiousPlayBudget, IterationLimitWithOpenGap) {
   const TupleGame game = petersen_game();
   Solved<sim::FictitiousPlayResult> solved;
-  EXPECT_NO_THROW(solved = sim::fictitious_play_budgeted(
-                      game, SolveBudget::iterations(3), 1e-12));
+  EXPECT_NO_THROW(solved = sim::fictitious_play(
+                      game, {.budget = SolveBudget::iterations(3),
+                             .tolerance = 1e-12}));
   EXPECT_EQ(solved.status.code, StatusCode::kIterationLimit);
   EXPECT_EQ(solved.result.rounds, 3u);
   ASSERT_FALSE(solved.result.trace.empty());
@@ -135,7 +138,8 @@ TEST(FictitiousPlayBudget, DeadlineExpiryStillPlaysOneRound) {
   SolveBudget budget;
   budget.wall_clock_seconds = 1e-9;
   Solved<sim::FictitiousPlayResult> solved;
-  EXPECT_NO_THROW(solved = sim::fictitious_play_budgeted(game, budget, 1e-12));
+  EXPECT_NO_THROW(solved = sim::fictitious_play(
+                      game, {.budget = budget, .tolerance = 1e-12}));
   EXPECT_EQ(solved.status.code, StatusCode::kDeadlineExceeded);
   EXPECT_GE(solved.result.rounds, 1u);
   EXPECT_FALSE(solved.result.trace.empty());
@@ -144,26 +148,30 @@ TEST(FictitiousPlayBudget, DeadlineExpiryStillPlaysOneRound) {
 TEST(FictitiousPlayBudget, LooseGapTargetConvergesOk) {
   const TupleGame game = petersen_game();
   const Solved<sim::FictitiousPlayResult> solved =
-      sim::fictitious_play_budgeted(game, SolveBudget::iterations(5000), 0.5);
+      sim::fictitious_play(
+          game, {.budget = SolveBudget::iterations(5000), .tolerance = 0.5});
   EXPECT_TRUE(solved.ok());
   EXPECT_LE(solved.result.gap, 0.5 + 1e-12);
 }
 
 TEST(FictitiousPlayBudget, RequiresSomeBound) {
   const TupleGame game = petersen_game();
-  EXPECT_THROW(sim::fictitious_play_budgeted(
-                   game, SolveBudget::unlimited_budget(), 0),
-               ContractViolation);
+  EXPECT_THROW(
+      sim::fictitious_play(
+          game, {.budget = SolveBudget::unlimited_budget(), .tolerance = 0}),
+      ContractViolation);
 }
 
 TEST(WeightedFictitiousPlayBudget, IterationLimitBracketsWeightedValue) {
   const TupleGame game = petersen_game();
   const std::vector<double> weights(game.graph().num_vertices(), 1.5);
   const double exact =
-      solve_weighted_double_oracle(game, weights).value;
+      solve_double_oracle(game, {.weights = weights}).value_or_throw().value;
   Solved<sim::FictitiousPlayResult> solved;
-  EXPECT_NO_THROW(solved = sim::weighted_fictitious_play_budgeted(
-                      game, weights, SolveBudget::iterations(3), 1e-12));
+  EXPECT_NO_THROW(solved = sim::fictitious_play(
+                      game, {.budget = SolveBudget::iterations(3),
+                             .tolerance = 1e-12,
+                             .weights = weights}));
   EXPECT_EQ(solved.status.code, StatusCode::kIterationLimit);
   const auto& last = solved.result.trace.back();
   EXPECT_LE(last.lower, exact + 1e-9);
@@ -173,8 +181,9 @@ TEST(WeightedFictitiousPlayBudget, IterationLimitBracketsWeightedValue) {
 TEST(HedgeBudget, IterationLimitWithOpenGap) {
   const TupleGame game = petersen_game();
   Solved<sim::HedgeResult> solved;
-  EXPECT_NO_THROW(solved = sim::hedge_dynamics_budgeted(
-                      game, SolveBudget::iterations(2), 1e-12));
+  EXPECT_NO_THROW(solved = sim::hedge_dynamics(
+                      game, 2, {.budget = SolveBudget::iterations(2),
+                                .tolerance = 1e-12}));
   EXPECT_EQ(solved.status.code, StatusCode::kIterationLimit);
   EXPECT_EQ(solved.result.rounds, 2u);
   const auto& last = solved.result.trace.back();
@@ -188,23 +197,26 @@ TEST(HedgeBudget, DeadlineExpiryStillPlaysOneRound) {
   budget.max_iterations = 100000;
   budget.wall_clock_seconds = 1e-9;
   Solved<sim::HedgeResult> solved;
-  EXPECT_NO_THROW(solved = sim::hedge_dynamics_budgeted(game, budget, 1e-12));
+  EXPECT_NO_THROW(solved = sim::hedge_dynamics(
+                      game, budget.max_iterations,
+                      {.budget = budget, .tolerance = 1e-12}));
   EXPECT_EQ(solved.status.code, StatusCode::kDeadlineExceeded);
   EXPECT_GE(solved.result.rounds, 1u);
 }
 
 TEST(HedgeBudget, RequiresRoundHorizon) {
   const TupleGame game = petersen_game();
-  EXPECT_THROW(
-      sim::hedge_dynamics_budgeted(game, SolveBudget::deadline(1.0), 1e-6),
-      ContractViolation);
+  EXPECT_THROW(sim::hedge_dynamics(game, 0,
+                                   {.budget = SolveBudget::deadline(1.0),
+                                    .tolerance = 1e-6}),
+               ContractViolation);
 }
 
 TEST(ZeroSumBudget, PivotLimitReturnsSecurityLevelBracket) {
   const TupleGame game = petersen_game();
   Solved<lp::MatrixGameSolution> solved;
   EXPECT_NO_THROW(
-      solved = solve_zero_sum_budgeted(game, SolveBudget::iterations(1)));
+      solved = solve_zero_sum(game, {.budget = SolveBudget::iterations(1)}));
   EXPECT_FALSE(solved.ok());
   EXPECT_LE(solved.result.lower_bound, petersen_value() + 1e-9);
   EXPECT_GE(solved.result.upper_bound, petersen_value() - 1e-9);
@@ -213,10 +225,11 @@ TEST(ZeroSumBudget, PivotLimitReturnsSecurityLevelBracket) {
 }
 
 TEST(ZeroSumBudget, OversizedInstanceIsInvalidInputNotACrash) {
-  const TupleGame game = petersen_game();  // C(15,2) = 105 tuples
+  // C(40,5) = 658008 tuples, above kMaxLpTuples.
+  const TupleGame game(graph::grid_graph(5, 5), 5, 1);
+  ASSERT_GT(game.num_tuples(), kMaxLpTuples);
   Solved<lp::MatrixGameSolution> solved;
-  EXPECT_NO_THROW(solved = solve_zero_sum_budgeted(
-                      game, SolveBudget::unlimited_budget(), 10));
+  EXPECT_NO_THROW(solved = solve_zero_sum(game));
   EXPECT_EQ(solved.status.code, StatusCode::kInvalidInput);
   EXPECT_NE(solved.status.message.find("double-oracle"), std::string::npos);
 }
@@ -224,7 +237,7 @@ TEST(ZeroSumBudget, OversizedInstanceIsInvalidInputNotACrash) {
 TEST(ZeroSumBudget, UnlimitedBudgetMatchesLegacySolver) {
   const TupleGame game = petersen_game();
   const Solved<lp::MatrixGameSolution> solved =
-      solve_zero_sum_budgeted(game, SolveBudget::unlimited_budget());
+      solve_zero_sum(game, {.budget = SolveBudget::unlimited_budget()});
   ASSERT_TRUE(solved.ok());
   EXPECT_NEAR(solved.result.value, petersen_value(), 1e-9);
   EXPECT_NEAR(solved.result.lower_bound, solved.result.upper_bound, 1e-7);

@@ -20,14 +20,6 @@ TEST(ValidateWeights, RejectsBadShapes) {
   EXPECT_NO_THROW(validate_weights(game, std::vector<double>{1, 2, 3, 4}));
 }
 
-TEST(WeightedMasses, ElementwiseProduct) {
-  const std::vector<double> w{2, 3};
-  const std::vector<double> m{0.5, 1.0};
-  EXPECT_EQ(weighted_masses(w, m), (std::vector<double>{1.0, 3.0}));
-  EXPECT_THROW(weighted_masses(w, std::vector<double>{1.0}),
-               ContractViolation);
-}
-
 TEST(DamageMatrix, TransposedComplementOfCoverage) {
   const TupleGame game(graph::path_graph(3), 1, 1);
   const std::vector<double> w{1.0, 5.0, 2.0};
@@ -46,8 +38,9 @@ TEST(SolveWeightedZeroSum, UnitWeightsMatchUnweightedValue) {
   for (std::size_t k = 1; k <= 2; ++k) {
     const TupleGame game(graph::cycle_graph(6), k, 1);
     const std::vector<double> w(6, 1.0);
-    const double damage = solve_weighted_zero_sum(game, w).damage_value;
-    const double hit = solve_zero_sum(game).value;
+    const double damage =
+        solve_zero_sum(game, {.weights = w}).value_or_throw().value;
+    const double hit = solve_zero_sum(game).value_or_throw().value;
     EXPECT_NEAR(damage, 1.0 - hit, 1e-7) << "k=" << k;
   }
 }
@@ -56,8 +49,10 @@ TEST(SolveWeightedZeroSum, ScalingWeightsScalesTheValue) {
   const TupleGame game(graph::path_graph(5), 1, 1);
   const std::vector<double> w1(5, 1.0);
   const std::vector<double> w3(5, 3.0);
-  EXPECT_NEAR(solve_weighted_zero_sum(game, w3).damage_value,
-              3.0 * solve_weighted_zero_sum(game, w1).damage_value, 1e-6);
+  EXPECT_NEAR(
+      solve_zero_sum(game, {.weights = w3}).value_or_throw().value,
+      3.0 * solve_zero_sum(game, {.weights = w1}).value_or_throw().value,
+      1e-6);
 }
 
 TEST(SolveWeightedZeroSum, DefenderShieldsTheValuableAsset) {
@@ -66,11 +61,13 @@ TEST(SolveWeightedZeroSum, DefenderShieldsTheValuableAsset) {
   // from the middle.
   const TupleGame game(graph::path_graph(3), 1, 1);
   const std::vector<double> w{1.0, 100.0, 1.0};
-  const WeightedSolution s = solve_weighted_zero_sum(game, w);
-  EXPECT_NEAR(s.attacker_strategy[1], 0.0, 1e-7);
+  // The damage game's rows are the attacker's vertices.
+  const lp::MatrixGameSolution s =
+      solve_zero_sum(game, {.weights = w}).value_or_throw();
+  EXPECT_NEAR(s.row_strategy[1], 0.0, 1e-7);
   // Value: endpoints weight 1 each, defender covers one of them; the
   // attacker mixes over endpoints for damage 1/2.
-  EXPECT_NEAR(s.damage_value, 0.5, 1e-7);
+  EXPECT_NEAR(s.value, 0.5, 1e-7);
 }
 
 TEST(SolveWeightedZeroSum, SkewedStarConcentratesDefence) {
@@ -79,11 +76,12 @@ TEST(SolveWeightedZeroSum, SkewedStarConcentratesDefence) {
   const TupleGame game(graph::star_graph(4), 1, 1);
   std::vector<double> w(5, 1.0);
   w[1] = 9.0;  // golden leaf
-  const WeightedSolution s = solve_weighted_zero_sum(game, w);
+  const lp::MatrixGameSolution s =
+      solve_zero_sum(game, {.weights = w}).value_or_throw();
   // Equalized damage: value v satisfies sum over leaves of (1 - v/w_l) = 1
   // (defender probabilities sum to one): 1 - v/9 + 3(1 - v) = 1 ->
   // v * (1/9 + 3) = 3 -> v = 27/28.
-  EXPECT_NEAR(s.damage_value, 27.0 / 28.0, 1e-6);
+  EXPECT_NEAR(s.value, 27.0 / 28.0, 1e-6);
 }
 
 TEST(ExpectedDamage, MatchesHandComputation) {
@@ -100,8 +98,13 @@ TEST(WeightedFictitiousPlay, ConvergesToTheLpDamageValue) {
   const TupleGame game(graph::star_graph(4), 1, 1);
   std::vector<double> w(5, 1.0);
   w[1] = 9.0;
-  const auto fp = sim::weighted_fictitious_play(game, w, 4000);
-  const double lp = solve_weighted_zero_sum(game, w).damage_value;
+  const auto fp = sim::fictitious_play(
+                      game, {.budget = SolveBudget::iterations(4000),
+                             .tolerance = 0,
+                             .weights = w})
+                      .result;
+  const double lp =
+      solve_zero_sum(game, {.weights = w}).value_or_throw().value;
   EXPECT_NEAR(fp.value_estimate, lp, 0.05);
   EXPECT_GE(fp.trace.back().upper, lp - 1e-9);
   EXPECT_LE(fp.trace.back().lower, lp + 1e-9);
@@ -110,8 +113,13 @@ TEST(WeightedFictitiousPlay, ConvergesToTheLpDamageValue) {
 TEST(WeightedFictitiousPlay, UnitWeightsAgreeWithUnweightedDynamics) {
   const TupleGame game(graph::cycle_graph(6), 1, 1);
   const std::vector<double> w(6, 1.0);
-  const auto weighted = sim::weighted_fictitious_play(game, w, 2000);
-  const auto plain = sim::fictitious_play(game, 2000);
+  const SolveBudget rounds = SolveBudget::iterations(2000);
+  const auto weighted =
+      sim::fictitious_play(game,
+                           {.budget = rounds, .tolerance = 0, .weights = w})
+          .result;
+  const auto plain =
+      sim::fictitious_play(game, {.budget = rounds, .tolerance = 0}).result;
   // Damage value = 1 - hit value.
   EXPECT_NEAR(weighted.value_estimate, 1.0 - plain.value_estimate, 0.05);
 }

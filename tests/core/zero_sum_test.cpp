@@ -35,7 +35,7 @@ TEST(CoverageMatrix, PairsShareCoveredVertices) {
 
 TEST(CoverageMatrix, EnforcesTupleLimit) {
   const TupleGame game(graph::complete_graph(12), 6, 1);
-  EXPECT_THROW(coverage_matrix(game, 1000), ContractViolation);
+  EXPECT_THROW(coverage_matrix(game), ContractViolation);
 }
 
 TEST(TupleAtRank, MatchesLexicographicEnumeration) {
@@ -52,14 +52,14 @@ TEST(SolveZeroSum, ValueOnC6MatchesKMatchingPrediction) {
   // C6, k = 1: the k-matching NE defends 3 edges, so the zero-sum value
   // (unique across equilibria) must be 1/3.
   const TupleGame game(graph::cycle_graph(6), 1, 1);
-  const lp::MatrixGameSolution s = solve_zero_sum(game);
+  const lp::MatrixGameSolution s = solve_zero_sum(game).value_or_throw();
   EXPECT_NEAR(s.value, 1.0 / 3, 1e-7);
 }
 
 TEST(SolveZeroSum, ValueScalesWithKOnC6) {
   for (std::size_t k = 1; k <= 3; ++k) {
     const TupleGame game(graph::cycle_graph(6), k, 1);
-    const lp::MatrixGameSolution s = solve_zero_sum(game);
+    const lp::MatrixGameSolution s = solve_zero_sum(game).value_or_throw();
     EXPECT_NEAR(s.value, static_cast<double>(k) / 3.0, 1e-7) << "k=" << k;
   }
 }
@@ -67,7 +67,7 @@ TEST(SolveZeroSum, ValueScalesWithKOnC6) {
 TEST(SolveZeroSum, StarValueIsKOverLeafCount) {
   // Star with L leaves: defender mixes over spokes; value = k / L.
   const TupleGame game(graph::star_graph(5), 2, 1);
-  EXPECT_NEAR(solve_zero_sum(game).value, 2.0 / 5, 1e-7);
+  EXPECT_NEAR(solve_zero_sum(game).value_or_throw().value, 2.0 / 5, 1e-7);
 }
 
 TEST(SolveZeroSum, AgreesWithATupleHitProbability) {
@@ -78,7 +78,7 @@ TEST(SolveZeroSum, AgreesWithATupleHitProbability) {
       ASSERT_TRUE(result.has_value());
       const double predicted =
           analytic_hit_probability(game, result->k_matching_ne);
-      EXPECT_NEAR(solve_zero_sum(game).value, predicted, 1e-7)
+      EXPECT_NEAR(solve_zero_sum(game).value_or_throw().value, predicted, 1e-7)
           << "k=" << k;
     }
   }
@@ -91,7 +91,7 @@ TEST(SolveZeroSum, NumericallyHardGridInstance) {
   // "optimal" solution was infeasible by 1e16). The stabilized leaving
   // rule must land exactly on the k-matching value 2/|IS| = 0.2.
   const TupleGame game(graph::grid_graph(4, 5), 2, 1);
-  EXPECT_NEAR(solve_zero_sum(game).value, 0.2, 1e-7);
+  EXPECT_NEAR(solve_zero_sum(game).value_or_throw().value, 0.2, 1e-7);
 }
 
 TEST(SolveZeroSum, MediumCoverageMatricesAcrossFamilies) {
@@ -110,14 +110,14 @@ TEST(SolveZeroSum, MediumCoverageMatricesAcrossFamilies) {
   };
   for (const auto& c : cases) {
     const TupleGame game(c.g, c.k, 1);
-    EXPECT_NEAR(solve_zero_sum(game).value, c.expected, 1e-7)
+    EXPECT_NEAR(solve_zero_sum(game).value_or_throw().value, c.expected, 1e-7)
         << "n=" << c.g.num_vertices() << " k=" << c.k;
   }
 }
 
 TEST(ToConfiguration, LpSolutionIsAMixedNashEquilibrium) {
   const TupleGame game(graph::cycle_graph(6), 2, 3);
-  const lp::MatrixGameSolution s = solve_zero_sum(game);
+  const lp::MatrixGameSolution s = solve_zero_sum(game).value_or_throw();
   const MixedConfiguration config = to_configuration(game, s);
   EXPECT_TRUE(is_mixed_ne_by_best_response(game, config, Oracle::kExhaustive,
                                            1e-6));

@@ -81,8 +81,8 @@ TEST(EngineIsolation, OneStarvedAndOneGarbledJobDegradeAlone) {
   const JobResult& garbled = report.results[kGarbledJob];
   EXPECT_GT(garbled.faults_injected, 0u);
   const double garbled_truth =
-      core::solve_zero_sum_budgeted(jobs[kGarbledJob].game,
-                                    SolveBudget::iterations(20'000))
+      core::solve_zero_sum(jobs[kGarbledJob].game,
+                           {.budget = SolveBudget::iterations(20'000)})
           .result.value;
   EXPECT_LE(garbled.lower_bound, garbled_truth + 1e-9)
       << garbled.status.to_string();
@@ -105,8 +105,8 @@ TEST(EngineIsolation, OneStarvedAndOneGarbledJobDegradeAlone) {
     EXPECT_FALSE(r.watchdog_killed) << "job " << i;
 
     const double lp =
-        core::solve_zero_sum_budgeted(jobs[i].game,
-                                      SolveBudget::iterations(20'000))
+        core::solve_zero_sum(jobs[i].game,
+                             {.budget = SolveBudget::iterations(20'000)})
             .result.value;
     // Weighted solvers bracket the damage value — for unit weights, the
     // complement of the hit probability the LP computes.

@@ -38,7 +38,7 @@ SolveJob make_job(JobSolver solver, std::size_t iterations = 400) {
 TEST(SolveEngine, BatchMatchesDirectSolvers) {
   const core::TupleGame game = petersen_game();
   const double lp_value =
-      core::solve_zero_sum_budgeted(game, SolveBudget::iterations(20'000))
+      core::solve_zero_sum(game, {.budget = SolveBudget::iterations(20'000)})
           .result.value;
 
   std::vector<SolveJob> jobs;
@@ -82,8 +82,8 @@ TEST(SolveEngine, RetryResumeReachesTheUninterruptedAnswer) {
   // from the checkpoint with a grown budget until the gap closes. The
   // resumed trajectory must match the unconstrained solve bit-for-bit.
   const core::TupleGame game = petersen_game();
-  const auto direct = core::solve_double_oracle_budgeted(
-      game, 1e-9, SolveBudget::iterations(400));
+  const auto direct = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(400)});
   ASSERT_EQ(direct.status.code, StatusCode::kOk);
 
   SolveJob job = make_job(JobSolver::kDoubleOracle, 1);
@@ -110,8 +110,8 @@ TEST(SolveEngine, UnstableLpFallsBackToDoubleOracle) {
   // double oracle, which tolerates flagged restricted LPs and closes the
   // gap anyway.
   const double lp_value =
-      core::solve_zero_sum_budgeted(petersen_game(),
-                                    SolveBudget::iterations(20'000))
+      core::solve_zero_sum(petersen_game(),
+                           {.budget = SolveBudget::iterations(20'000)})
           .result.value;
 
   SolveJob job = make_job(JobSolver::kZeroSumLp, 400);

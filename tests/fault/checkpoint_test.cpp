@@ -185,26 +185,22 @@ core::SolverCheckpoint through_text(const core::SolverCheckpoint& cp) {
 TEST(KillResume, DoubleOracleReproducesTheUninterruptedRun) {
   const core::TupleGame game(graph::petersen_graph(), 3, 1);
 
-  const auto full = core::solve_double_oracle_resumable(
-      game, 1e-9, SolveBudget::iterations(100), core::ResumeHooks{});
+  const auto full = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(100)});
   ASSERT_TRUE(full.ok()) << full.status.to_string();
   ASSERT_GT(full.result.iterations, 2u)
       << "instance too easy to exercise a mid-run kill";
 
   core::SolverCheckpoint cp;
-  core::ResumeHooks capture;
-  capture.capture = &cp;
-  const auto killed = core::solve_double_oracle_resumable(
-      game, 1e-9, SolveBudget::iterations(2), capture);
+  const auto killed = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(2), .capture = &cp});
   ASSERT_EQ(killed.status.code, StatusCode::kIterationLimit);
   EXPECT_EQ(cp.solver, core::SolverKind::kDoubleOracle);
   EXPECT_EQ(cp.iterations, 2u);
 
   const core::SolverCheckpoint restored = through_text(cp);
-  core::ResumeHooks resume;
-  resume.resume = &restored;
-  const auto resumed = core::solve_double_oracle_resumable(
-      game, 1e-9, SolveBudget::iterations(98), resume);
+  const auto resumed = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(98), .resume = &restored});
 
   EXPECT_EQ(resumed.status.code, full.status.code);
   EXPECT_EQ(resumed.result.iterations, full.result.iterations);
@@ -223,24 +219,24 @@ TEST(KillResume, WeightedDoubleOracleReproducesTheUninterruptedRun) {
   for (std::size_t v = 0; v < weights.size(); ++v)
     weights[v] = 1.0 + 0.25 * static_cast<double>(v % 4);
 
-  const auto full = core::solve_weighted_double_oracle_resumable(
-      game, weights, 1e-9, SolveBudget::iterations(100), core::ResumeHooks{});
+  const auto full = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(100), .weights = weights});
   ASSERT_TRUE(full.ok()) << full.status.to_string();
   ASSERT_GT(full.result.iterations, 2u);
 
   core::SolverCheckpoint cp;
-  core::ResumeHooks capture;
-  capture.capture = &cp;
-  const auto killed = core::solve_weighted_double_oracle_resumable(
-      game, weights, 1e-9, SolveBudget::iterations(2), capture);
+  const auto killed = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(2),
+             .weights = weights,
+             .capture = &cp});
   ASSERT_EQ(killed.status.code, StatusCode::kIterationLimit);
   EXPECT_EQ(cp.solver, core::SolverKind::kWeightedDoubleOracle);
 
   const core::SolverCheckpoint restored = through_text(cp);
-  core::ResumeHooks resume;
-  resume.resume = &restored;
-  const auto resumed = core::solve_weighted_double_oracle_resumable(
-      game, weights, 1e-9, SolveBudget::iterations(98), resume);
+  const auto resumed = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(98),
+             .weights = weights,
+             .resume = &restored});
 
   EXPECT_EQ(resumed.status.code, full.status.code);
   EXPECT_EQ(resumed.result.iterations, full.result.iterations);
@@ -255,25 +251,25 @@ TEST(KillResume, FictitiousPlayReproducesTheUninterruptedRun) {
   // so the uninterrupted final status (kIterationLimit) must be reproduced.
   const double target = 1e-9;
 
-  const auto full = sim::fictitious_play_resumable(
-      game, SolveBudget::iterations(120), target, core::ResumeHooks{});
+  const auto full = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(120), .tolerance = target});
   ASSERT_EQ(full.status.code, StatusCode::kIterationLimit);
   ASSERT_EQ(full.result.rounds, 120u);
 
   core::SolverCheckpoint cp;
-  core::ResumeHooks capture;
-  capture.capture = &cp;
-  const auto killed = sim::fictitious_play_resumable(
-      game, SolveBudget::iterations(35), target, capture);
+  const auto killed = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(35),
+             .tolerance = target,
+             .capture = &cp});
   ASSERT_EQ(killed.status.code, StatusCode::kIterationLimit);
   EXPECT_EQ(cp.solver, core::SolverKind::kFictitiousPlay);
   EXPECT_EQ(cp.iterations, 35u);
 
   const core::SolverCheckpoint restored = through_text(cp);
-  core::ResumeHooks resume;
-  resume.resume = &restored;
-  const auto resumed = sim::fictitious_play_resumable(
-      game, SolveBudget::iterations(85), target, resume);
+  const auto resumed = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(85),
+             .tolerance = target,
+             .resume = &restored});
 
   EXPECT_EQ(resumed.status.code, full.status.code);
   EXPECT_EQ(resumed.result.rounds, full.result.rounds);
@@ -292,24 +288,27 @@ TEST(KillResume, WeightedFictitiousPlayReproducesTheUninterruptedRun) {
     weights[v] = 1.0 + 0.5 * static_cast<double>(v % 3);
   const double target = 1e-9;
 
-  const auto full = sim::weighted_fictitious_play_resumable(
-      game, weights, SolveBudget::iterations(90), target,
-      core::ResumeHooks{});
+  const auto full = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(90),
+             .tolerance = target,
+             .weights = weights});
   ASSERT_EQ(full.status.code, StatusCode::kIterationLimit);
 
   core::SolverCheckpoint cp;
-  core::ResumeHooks capture;
-  capture.capture = &cp;
-  const auto killed = sim::weighted_fictitious_play_resumable(
-      game, weights, SolveBudget::iterations(27), target, capture);
+  const auto killed = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(27),
+             .tolerance = target,
+             .weights = weights,
+             .capture = &cp});
   ASSERT_EQ(killed.status.code, StatusCode::kIterationLimit);
   EXPECT_EQ(cp.solver, core::SolverKind::kWeightedFictitiousPlay);
 
   const core::SolverCheckpoint restored = through_text(cp);
-  core::ResumeHooks resume;
-  resume.resume = &restored;
-  const auto resumed = sim::weighted_fictitious_play_resumable(
-      game, weights, SolveBudget::iterations(63), target, resume);
+  const auto resumed = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(63),
+             .tolerance = target,
+             .weights = weights,
+             .resume = &restored});
 
   EXPECT_EQ(resumed.status.code, full.status.code);
   EXPECT_EQ(resumed.result.rounds, full.result.rounds);
@@ -325,28 +324,30 @@ TEST(KillResume, HedgeReproducesTheUninterruptedRun) {
   const double target = 1e-9;
 
   // Uninterrupted: one segment covering the whole horizon.
-  const auto full = sim::hedge_dynamics_resumable(
-      game, horizon, SolveBudget::unlimited_budget(), target,
-      core::ResumeHooks{});
+  const auto full = sim::hedge_dynamics(
+      game, horizon,
+      {.budget = SolveBudget::unlimited_budget(), .tolerance = target});
   ASSERT_EQ(full.status.code, StatusCode::kIterationLimit);
   ASSERT_EQ(full.result.rounds, horizon);
 
   core::SolverCheckpoint cp;
-  core::ResumeHooks capture;
-  capture.capture = &cp;
-  const auto killed = sim::hedge_dynamics_resumable(
-      game, horizon, SolveBudget::iterations(30), target, capture);
+  const auto killed = sim::hedge_dynamics(
+      game, horizon,
+      {.budget = SolveBudget::iterations(30),
+       .tolerance = target,
+       .capture = &cp});
   ASSERT_EQ(killed.status.code, StatusCode::kIterationLimit);
   EXPECT_EQ(cp.solver, core::SolverKind::kHedge);
   EXPECT_EQ(cp.iterations, 30u);
   EXPECT_EQ(cp.horizon, horizon);
 
   const core::SolverCheckpoint restored = through_text(cp);
-  core::ResumeHooks resume;
-  resume.resume = &restored;
   // Same horizon => same eta => the trajectory continues bit-exactly.
-  const auto resumed = sim::hedge_dynamics_resumable(
-      game, horizon, SolveBudget::unlimited_budget(), target, resume);
+  const auto resumed = sim::hedge_dynamics(
+      game, horizon,
+      {.budget = SolveBudget::unlimited_budget(),
+       .tolerance = target,
+       .resume = &restored});
 
   EXPECT_EQ(resumed.status.code, full.status.code);
   EXPECT_EQ(resumed.result.rounds, full.result.rounds);
@@ -359,26 +360,24 @@ TEST(KillResume, HedgeReproducesTheUninterruptedRun) {
 // resumes, still the same final answer.
 TEST(KillResume, DoubleKillStillConverges) {
   const core::TupleGame game(graph::grid_graph(3, 4), 2, 1);
-  const auto full = sim::fictitious_play_resumable(
-      game, SolveBudget::iterations(90), 1e-9, core::ResumeHooks{});
+  const auto full = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(90), .tolerance = 1e-9});
 
   core::SolverCheckpoint cp1, cp2;
-  core::ResumeHooks h1;
-  h1.capture = &cp1;
-  (void)sim::fictitious_play_resumable(game, SolveBudget::iterations(20),
-                                       1e-9, h1);
+  (void)sim::fictitious_play(game, {.budget = SolveBudget::iterations(20),
+                                    .tolerance = 1e-9,
+                                    .capture = &cp1});
   const core::SolverCheckpoint r1 = through_text(cp1);
-  core::ResumeHooks h2;
-  h2.resume = &r1;
-  h2.capture = &cp2;
-  (void)sim::fictitious_play_resumable(game, SolveBudget::iterations(40),
-                                       1e-9, h2);
+  (void)sim::fictitious_play(game, {.budget = SolveBudget::iterations(40),
+                                    .tolerance = 1e-9,
+                                    .resume = &r1,
+                                    .capture = &cp2});
   EXPECT_EQ(cp2.iterations, 60u);
   const core::SolverCheckpoint r2 = through_text(cp2);
-  core::ResumeHooks h3;
-  h3.resume = &r2;
-  const auto resumed = sim::fictitious_play_resumable(
-      game, SolveBudget::iterations(30), 1e-9, h3);
+  const auto resumed = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(30),
+             .tolerance = 1e-9,
+             .resume = &r2});
 
   EXPECT_EQ(resumed.status.code, full.status.code);
   EXPECT_EQ(resumed.result.rounds, full.result.rounds);
@@ -394,46 +393,40 @@ TEST(KillResume, DoubleKillStillConverges) {
 TEST(ResumeValidation, MismatchesAreRejectedAsInvalidInput) {
   const core::TupleGame game(graph::petersen_graph(), 3, 1);
   core::SolverCheckpoint cp;
-  core::ResumeHooks capture;
-  capture.capture = &cp;
-  (void)core::solve_double_oracle_resumable(
-      game, 1e-9, SolveBudget::iterations(2), capture);
+  (void)core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(2), .capture = &cp});
 
   // Wrong solver family.
-  core::ResumeHooks wrong_kind;
-  wrong_kind.resume = &cp;
-  const auto fp = sim::fictitious_play_resumable(
-      game, SolveBudget::iterations(10), 0.0, wrong_kind);
+  const auto fp = sim::fictitious_play(
+      game,
+      {.budget = SolveBudget::iterations(10), .tolerance = 0, .resume = &cp});
   EXPECT_EQ(fp.status.code, StatusCode::kInvalidInput);
 
   // Wrong game shape.
   const core::TupleGame other(graph::grid_graph(3, 3), 2, 1);
-  core::ResumeHooks wrong_shape;
-  wrong_shape.resume = &cp;
-  const auto shape = core::solve_double_oracle_resumable(
-      other, 1e-9, SolveBudget::iterations(10), wrong_shape);
+  const auto shape = core::solve_double_oracle(
+      other, {.budget = SolveBudget::iterations(10), .resume = &cp});
   EXPECT_EQ(shape.status.code, StatusCode::kInvalidInput);
 
   // Future version (a build older than the checkpoint's writer).
   core::SolverCheckpoint future = cp;
   future.version = core::kSolverCheckpointVersion + 1;
-  core::ResumeHooks wrong_version;
-  wrong_version.resume = &future;
-  const auto ver = core::solve_double_oracle_resumable(
-      game, 1e-9, SolveBudget::iterations(10), wrong_version);
+  const auto ver = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(10), .resume = &future});
   EXPECT_EQ(ver.status.code, StatusCode::kInvalidInput);
 
   // Hedge horizon mismatch (eta would silently change).
   const core::TupleGame hg(graph::grid_graph(3, 4), 2, 1);
   core::SolverCheckpoint hcp;
-  core::ResumeHooks hcap;
-  hcap.capture = &hcp;
-  (void)sim::hedge_dynamics_resumable(hg, 100, SolveBudget::iterations(10),
-                                      1e-9, hcap);
-  core::ResumeHooks hresume;
-  hresume.resume = &hcp;
-  const auto mismatch = sim::hedge_dynamics_resumable(
-      hg, 50, SolveBudget::iterations(10), 1e-9, hresume);
+  (void)sim::hedge_dynamics(hg, 100,
+                            {.budget = SolveBudget::iterations(10),
+                             .tolerance = 1e-9,
+                             .capture = &hcp});
+  const auto mismatch = sim::hedge_dynamics(
+      hg, 50,
+      {.budget = SolveBudget::iterations(10),
+       .tolerance = 1e-9,
+       .resume = &hcp});
   EXPECT_EQ(mismatch.status.code, StatusCode::kInvalidInput);
 }
 
@@ -453,8 +446,8 @@ SolveBudget cancellable(SolveBudget budget, CancelToken* token) {
 
 TEST(CancelResume, DoubleOracleResumesAfterCancellation) {
   const core::TupleGame game(graph::petersen_graph(), 3, 1);
-  const auto full = core::solve_double_oracle_resumable(
-      game, 1e-9, SolveBudget::iterations(100), core::ResumeHooks{});
+  const auto full = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(100)});
   ASSERT_TRUE(full.ok()) << full.status.to_string();
   ASSERT_GT(full.result.iterations, 3u);
 
@@ -462,11 +455,10 @@ TEST(CancelResume, DoubleOracleResumesAfterCancellation) {
     CancelToken token;
     token.cancel_after_polls(kill_at);
     core::SolverCheckpoint cp;
-    core::ResumeHooks capture;
-    capture.capture = &cp;
-    const auto cancelled = core::solve_double_oracle_resumable(
-        game, 1e-9, cancellable(SolveBudget::iterations(100), &token),
-        capture);
+    const auto cancelled = core::solve_double_oracle(
+        game,
+        {.budget = cancellable(SolveBudget::iterations(100), &token),
+         .capture = &cp});
     ASSERT_EQ(cancelled.status.code, StatusCode::kCancelled)
         << cancelled.status.to_string();
     EXPECT_TRUE(token.cancelled());
@@ -475,10 +467,8 @@ TEST(CancelResume, DoubleOracleResumesAfterCancellation) {
     EXPECT_GE(cancelled.result.upper_bound, full.result.value - 1e-12);
 
     const core::SolverCheckpoint restored = through_text(cp);
-    core::ResumeHooks resume;
-    resume.resume = &restored;
-    const auto resumed = core::solve_double_oracle_resumable(
-        game, 1e-9, SolveBudget::iterations(100), resume);
+    const auto resumed = core::solve_double_oracle(
+        game, {.budget = SolveBudget::iterations(100), .resume = &restored});
     EXPECT_EQ(resumed.status.code, full.status.code);
     EXPECT_EQ(resumed.result.iterations, full.result.iterations);
     EXPECT_EQ(resumed.result.value, full.result.value);
@@ -493,25 +483,24 @@ TEST(CancelResume, WeightedDoubleOracleResumesAfterCancellation) {
   for (std::size_t v = 0; v < weights.size(); ++v)
     weights[v] = 1.0 + 0.25 * static_cast<double>(v % 4);
 
-  const auto full = core::solve_weighted_double_oracle_resumable(
-      game, weights, 1e-9, SolveBudget::iterations(100), core::ResumeHooks{});
+  const auto full = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(100), .weights = weights});
   ASSERT_TRUE(full.ok()) << full.status.to_string();
 
   CancelToken token;
   token.cancel_after_polls(2);
   core::SolverCheckpoint cp;
-  core::ResumeHooks capture;
-  capture.capture = &cp;
-  const auto cancelled = core::solve_weighted_double_oracle_resumable(
-      game, weights, 1e-9, cancellable(SolveBudget::iterations(100), &token),
-      capture);
+  const auto cancelled = core::solve_double_oracle(
+      game, {.budget = cancellable(SolveBudget::iterations(100), &token),
+             .weights = weights,
+             .capture = &cp});
   ASSERT_EQ(cancelled.status.code, StatusCode::kCancelled);
 
   const core::SolverCheckpoint restored = through_text(cp);
-  core::ResumeHooks resume;
-  resume.resume = &restored;
-  const auto resumed = core::solve_weighted_double_oracle_resumable(
-      game, weights, 1e-9, SolveBudget::iterations(100), resume);
+  const auto resumed = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(100),
+             .weights = weights,
+             .resume = &restored});
   EXPECT_EQ(resumed.status.code, full.status.code);
   EXPECT_EQ(resumed.result.iterations, full.result.iterations);
   EXPECT_EQ(resumed.result.value, full.result.value);
@@ -522,28 +511,26 @@ TEST(CancelResume, WeightedDoubleOracleResumesAfterCancellation) {
 TEST(CancelResume, FictitiousPlayResumesAfterCancellation) {
   const core::TupleGame game(graph::grid_graph(3, 4), 2, 1);
   const double target = 1e-9;
-  const auto full = sim::fictitious_play_resumable(
-      game, SolveBudget::iterations(120), target, core::ResumeHooks{});
+  const auto full = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(120), .tolerance = target});
   ASSERT_EQ(full.status.code, StatusCode::kIterationLimit);
 
   CancelToken token;
   token.cancel_after_polls(40);
   core::SolverCheckpoint cp;
-  core::ResumeHooks capture;
-  capture.capture = &cp;
-  const auto cancelled = sim::fictitious_play_resumable(
-      game, cancellable(SolveBudget::iterations(120), &token), target,
-      capture);
+  const auto cancelled = sim::fictitious_play(
+      game, {.budget = cancellable(SolveBudget::iterations(120), &token),
+             .tolerance = target,
+             .capture = &cp});
   ASSERT_EQ(cancelled.status.code, StatusCode::kCancelled)
       << cancelled.status.to_string();
   ASSERT_LT(cp.iterations, 120u);
 
   const core::SolverCheckpoint restored = through_text(cp);
-  core::ResumeHooks resume;
-  resume.resume = &restored;
-  const auto resumed = sim::fictitious_play_resumable(
-      game, SolveBudget::iterations(120 - restored.iterations), target,
-      resume);
+  const auto resumed = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(120 - restored.iterations),
+             .tolerance = target,
+             .resume = &restored});
   EXPECT_EQ(resumed.status.code, full.status.code);
   EXPECT_EQ(resumed.result.rounds, full.result.rounds);
   EXPECT_EQ(resumed.result.value_estimate, full.result.value_estimate);
@@ -559,27 +546,28 @@ TEST(CancelResume, WeightedFictitiousPlayResumesAfterCancellation) {
     weights[v] = 1.0 + 0.5 * static_cast<double>(v % 3);
   const double target = 1e-9;
 
-  const auto full = sim::weighted_fictitious_play_resumable(
-      game, weights, SolveBudget::iterations(90), target,
-      core::ResumeHooks{});
+  const auto full = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(90),
+             .tolerance = target,
+             .weights = weights});
   ASSERT_EQ(full.status.code, StatusCode::kIterationLimit);
 
   CancelToken token;
   token.cancel_after_polls(25);
   core::SolverCheckpoint cp;
-  core::ResumeHooks capture;
-  capture.capture = &cp;
-  const auto cancelled = sim::weighted_fictitious_play_resumable(
-      game, weights, cancellable(SolveBudget::iterations(90), &token),
-      target, capture);
+  const auto cancelled = sim::fictitious_play(
+      game, {.budget = cancellable(SolveBudget::iterations(90), &token),
+             .tolerance = target,
+             .weights = weights,
+             .capture = &cp});
   ASSERT_EQ(cancelled.status.code, StatusCode::kCancelled);
 
   const core::SolverCheckpoint restored = through_text(cp);
-  core::ResumeHooks resume;
-  resume.resume = &restored;
-  const auto resumed = sim::weighted_fictitious_play_resumable(
-      game, weights, SolveBudget::iterations(90 - restored.iterations),
-      target, resume);
+  const auto resumed = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(90 - restored.iterations),
+             .tolerance = target,
+             .weights = weights,
+             .resume = &restored});
   EXPECT_EQ(resumed.status.code, full.status.code);
   EXPECT_EQ(resumed.result.rounds, full.result.rounds);
   EXPECT_EQ(resumed.result.value_estimate, full.result.value_estimate);
@@ -591,32 +579,33 @@ TEST(CancelResume, HedgeResumesAfterCancellation) {
   const std::size_t horizon = 100;
   const double target = 1e-9;
 
-  const auto full = sim::hedge_dynamics_resumable(
-      game, horizon, SolveBudget::unlimited_budget(), target,
-      core::ResumeHooks{});
+  const auto full = sim::hedge_dynamics(
+      game, horizon,
+      {.budget = SolveBudget::unlimited_budget(), .tolerance = target});
   ASSERT_EQ(full.status.code, StatusCode::kIterationLimit);
   ASSERT_EQ(full.result.rounds, horizon);
 
   CancelToken token;
   token.cancel_after_polls(33);
   core::SolverCheckpoint cp;
-  core::ResumeHooks capture;
-  capture.capture = &cp;
-  const auto cancelled = sim::hedge_dynamics_resumable(
-      game, horizon, cancellable(SolveBudget::unlimited_budget(), &token),
-      target, capture);
+  const auto cancelled = sim::hedge_dynamics(
+      game, horizon,
+      {.budget = cancellable(SolveBudget::unlimited_budget(), &token),
+       .tolerance = target,
+       .capture = &cp});
   ASSERT_EQ(cancelled.status.code, StatusCode::kCancelled)
       << cancelled.status.to_string();
   EXPECT_EQ(cp.horizon, horizon);
   ASSERT_LT(cp.iterations, horizon);
 
   const core::SolverCheckpoint restored = through_text(cp);
-  core::ResumeHooks resume;
-  resume.resume = &restored;
   // Same horizon => same eta => the cancelled trajectory continues
   // bit-exactly to the same final answer.
-  const auto resumed = sim::hedge_dynamics_resumable(
-      game, horizon, SolveBudget::unlimited_budget(), target, resume);
+  const auto resumed = sim::hedge_dynamics(
+      game, horizon,
+      {.budget = SolveBudget::unlimited_budget(),
+       .tolerance = target,
+       .resume = &restored});
   EXPECT_EQ(resumed.status.code, full.status.code);
   EXPECT_EQ(resumed.result.rounds, full.result.rounds);
   EXPECT_EQ(resumed.result.value_estimate, full.result.value_estimate);
@@ -629,16 +618,13 @@ TEST(CancelResume, AlreadyCancelledTokenStopsAtTheFirstPoll) {
   CancelToken token;
   token.request_cancel();
   core::SolverCheckpoint cp;
-  core::ResumeHooks capture;
-  capture.capture = &cp;
-  const auto cancelled = core::solve_double_oracle_resumable(
-      game, 1e-9, cancellable(SolveBudget::iterations(100), &token), capture);
+  const auto cancelled = core::solve_double_oracle(
+      game, {.budget = cancellable(SolveBudget::iterations(100), &token),
+             .capture = &cp});
   EXPECT_EQ(cancelled.status.code, StatusCode::kCancelled);
   // Even the immediate kill leaves a valid, resumable checkpoint.
-  core::ResumeHooks resume;
-  resume.resume = &cp;
-  const auto resumed = core::solve_double_oracle_resumable(
-      game, 1e-9, SolveBudget::iterations(100), resume);
+  const auto resumed = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(100), .resume = &cp});
   EXPECT_TRUE(resumed.ok()) << resumed.status.to_string();
 }
 
@@ -675,24 +661,23 @@ TEST(LpKillResume, KillAtPivotIMatchesReferenceBrackets) {
   // must match the reference substrate exactly at every stop.
   const core::TupleGame game(graph::petersen_graph(), 2, 1);
   const lp::Matrix payoff = core::coverage_matrix(game);
-  const auto full = lp::solve_matrix_game_budgeted_with(
-      &lp::solve_max, payoff, SolveBudget::unlimited_budget());
+  const auto full = lp::solve_matrix_game(payoff);
   ASSERT_TRUE(full.ok()) << full.status.to_string();
   ASSERT_GT(full.status.iterations, 2u)
       << "instance too easy to exercise a mid-pivot kill";
   for (std::size_t i = 1; i <= full.status.iterations + 1; ++i) {
-    const auto flat = lp::solve_matrix_game_budgeted_with(
-        &lp::solve_max, payoff, SolveBudget::iterations(i));
-    const auto ref = lp::solve_matrix_game_budgeted_with(
-        &lp::reference::solve_max, payoff, SolveBudget::iterations(i));
+    const auto flat =
+        lp::solve_matrix_game(payoff, SolveBudget::iterations(i));
+    const auto ref =
+        lp::solve_matrix_game(payoff, SolveBudget::iterations(i), nullptr,
+                              nullptr, &lp::reference::solve_max);
     expect_brackets_bit_equal(flat, ref,
                               "kill at pivot " + std::to_string(i));
   }
   // An LP re-solve with the budget restored IS the resume (the tableau is
   // rebuilt deterministically); it must land exactly on the full solve.
-  const auto resumed = lp::solve_matrix_game_budgeted_with(
-      &lp::solve_max, payoff,
-      SolveBudget::iterations(full.status.iterations + 1));
+  const auto resumed = lp::solve_matrix_game(
+      payoff, SolveBudget::iterations(full.status.iterations + 1));
   expect_brackets_bit_equal(resumed, full, "budget-restored re-solve");
 }
 
@@ -708,13 +693,12 @@ TEST(LpKillResume, FaultSitesMatchReferenceBrackets) {
     plan.seed = 0xc0ffee ^ static_cast<std::uint64_t>(site);
     plan.rate_of(site) = 1.0;
     fault::FaultContext flat_ctx(plan);
-    const auto flat = lp::solve_matrix_game_budgeted_with(
-        &lp::solve_max, payoff, SolveBudget::unlimited_budget(), nullptr,
-        &flat_ctx);
+    const auto flat = lp::solve_matrix_game(
+        payoff, SolveBudget::unlimited_budget(), nullptr, &flat_ctx);
     fault::FaultContext ref_ctx(plan);
-    const auto ref = lp::solve_matrix_game_budgeted_with(
-        &lp::reference::solve_max, payoff, SolveBudget::unlimited_budget(),
-        nullptr, &ref_ctx);
+    const auto ref = lp::solve_matrix_game(
+        payoff, SolveBudget::unlimited_budget(), nullptr, &ref_ctx,
+        &lp::reference::solve_max);
     expect_brackets_bit_equal(
         flat, ref,
         std::string("armed site ") + fault::to_string(site));
@@ -738,27 +722,26 @@ TEST(LpKillResume, FaultArmedDoubleOracleKillResumeIsDeterministic) {
   plan.rate_of(fault::FaultSite::kLpForceUnstable) = 1.0;
 
   fault::FaultContext full_ctx(plan);
-  const auto full = core::solve_double_oracle_resumable(
-      game, 1e-9, SolveBudget::iterations(30), core::ResumeHooks{}, nullptr,
-      &full_ctx);
+  const auto full = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(30), .fault = &full_ctx});
   ASSERT_TRUE(std::isfinite(full.result.lower_bound));
   ASSERT_TRUE(std::isfinite(full.result.upper_bound));
 
   fault::FaultContext killed_ctx(plan);
   core::SolverCheckpoint cp;
-  core::ResumeHooks capture;
-  capture.capture = &cp;
-  const auto killed = core::solve_double_oracle_resumable(
-      game, 1e-9, SolveBudget::iterations(2), capture, nullptr, &killed_ctx);
+  const auto killed = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(2),
+             .capture = &cp,
+             .fault = &killed_ctx});
   ASSERT_EQ(killed.status.code, StatusCode::kIterationLimit)
       << killed.status.to_string();
 
   const core::SolverCheckpoint restored = through_text(cp);
-  core::ResumeHooks resume;
-  resume.resume = &restored;
   fault::FaultContext resumed_ctx(plan);
-  const auto resumed = core::solve_double_oracle_resumable(
-      game, 1e-9, SolveBudget::iterations(28), resume, nullptr, &resumed_ctx);
+  const auto resumed = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(28),
+             .resume = &restored,
+             .fault = &resumed_ctx});
 
   EXPECT_EQ(resumed.status.code, full.status.code);
   EXPECT_EQ(resumed.result.iterations, full.result.iterations);

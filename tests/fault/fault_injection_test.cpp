@@ -326,13 +326,13 @@ void expect_same_status(const Solved<T>& a, const Solved<T>& b) {
 
 TEST(NullFaultIdentity, DoubleOracleIsBitIdentical) {
   const core::TupleGame game(graph::petersen_graph(), 3, 1);
-  const auto plain = core::solve_double_oracle_budgeted(
-      game, 1e-9, SolveBudget::iterations(200), nullptr, nullptr);
+  const auto plain = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(200)});
   fault::FaultPlan silent;
   silent.seed = 99;  // armed context, every rate 0: decisions all "no"
   fault::FaultContext ctx(silent);
-  const auto faulted = core::solve_double_oracle_budgeted(
-      game, 1e-9, SolveBudget::iterations(200), nullptr, &ctx);
+  const auto faulted = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(200), .fault = &ctx});
 
   expect_same_status(plain, faulted);
   EXPECT_EQ(plain.result.value, faulted.result.value);
@@ -369,11 +369,13 @@ TEST(NullFaultIdentity, LearningDynamicsAreBitIdentical) {
   fault::FaultPlan silent;
   silent.seed = 5;
 
-  const auto fp_plain = sim::fictitious_play_budgeted(
-      game, SolveBudget::iterations(300), 1e-4, nullptr, nullptr);
+  const auto fp_plain = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(300), .tolerance = 1e-4});
   fault::FaultContext fp_ctx(silent);
-  const auto fp_faulted = sim::fictitious_play_budgeted(
-      game, SolveBudget::iterations(300), 1e-4, nullptr, &fp_ctx);
+  const auto fp_faulted = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(300),
+             .tolerance = 1e-4,
+             .fault = &fp_ctx});
   expect_same_status(fp_plain, fp_faulted);
   EXPECT_EQ(fp_plain.result.value_estimate, fp_faulted.result.value_estimate);
   EXPECT_EQ(fp_plain.result.gap, fp_faulted.result.gap);
@@ -383,11 +385,13 @@ TEST(NullFaultIdentity, LearningDynamicsAreBitIdentical) {
   EXPECT_EQ(fp_plain.result.defender_hit_frequency,
             fp_faulted.result.defender_hit_frequency);
 
-  const auto hg_plain = sim::hedge_dynamics_budgeted(
-      game, SolveBudget::iterations(200), 1e-4, nullptr, nullptr);
+  const auto hg_plain = sim::hedge_dynamics(
+      game, 200, {.budget = SolveBudget::iterations(200), .tolerance = 1e-4});
   fault::FaultContext hg_ctx(silent);
-  const auto hg_faulted = sim::hedge_dynamics_budgeted(
-      game, SolveBudget::iterations(200), 1e-4, nullptr, &hg_ctx);
+  const auto hg_faulted = sim::hedge_dynamics(
+      game, 200, {.budget = SolveBudget::iterations(200),
+                  .tolerance = 1e-4,
+                  .fault = &hg_ctx});
   expect_same_status(hg_plain, hg_faulted);
   EXPECT_EQ(hg_plain.result.value_estimate, hg_faulted.result.value_estimate);
   EXPECT_EQ(hg_plain.result.gap, hg_faulted.result.gap);
@@ -398,21 +402,28 @@ TEST(NullFaultIdentity, LearningDynamicsAreBitIdentical) {
   std::vector<double> weights(game.graph().num_vertices());
   for (std::size_t v = 0; v < weights.size(); ++v)
     weights[v] = 1.0 + 0.25 * static_cast<double>(v % 4);
-  const auto wdo_plain = core::solve_weighted_double_oracle_budgeted(
-      game, weights, 1e-9, SolveBudget::iterations(200), nullptr, nullptr);
+  const auto wdo_plain = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(200), .weights = weights});
   fault::FaultContext wdo_ctx(silent);
-  const auto wdo_faulted = core::solve_weighted_double_oracle_budgeted(
-      game, weights, 1e-9, SolveBudget::iterations(200), nullptr, &wdo_ctx);
+  const auto wdo_faulted = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(200),
+             .weights = weights,
+             .fault = &wdo_ctx});
   expect_same_status(wdo_plain, wdo_faulted);
   EXPECT_EQ(wdo_plain.result.value, wdo_faulted.result.value);
   EXPECT_EQ(wdo_plain.result.lower_bound, wdo_faulted.result.lower_bound);
   EXPECT_EQ(wdo_plain.result.upper_bound, wdo_faulted.result.upper_bound);
 
-  const auto wfp_plain = sim::weighted_fictitious_play_budgeted(
-      game, weights, SolveBudget::iterations(200), 1e-4, nullptr, nullptr);
+  const auto wfp_plain = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(200),
+             .tolerance = 1e-4,
+             .weights = weights});
   fault::FaultContext wfp_ctx(silent);
-  const auto wfp_faulted = sim::weighted_fictitious_play_budgeted(
-      game, weights, SolveBudget::iterations(200), 1e-4, nullptr, &wfp_ctx);
+  const auto wfp_faulted = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(200),
+             .tolerance = 1e-4,
+             .weights = weights,
+             .fault = &wfp_ctx});
   expect_same_status(wfp_plain, wfp_faulted);
   EXPECT_EQ(wfp_plain.result.value_estimate, wfp_faulted.result.value_estimate);
   EXPECT_EQ(wfp_plain.result.gap, wfp_faulted.result.gap);
@@ -559,8 +570,8 @@ TEST(OracleFaults, ForcedTruncationKeepsTheCompletionBoundSound) {
 // (it is certified by the exact oracles, not the LP).
 
 double reference_value(const core::TupleGame& game) {
-  const auto clean = core::solve_double_oracle_budgeted(
-      game, 1e-9, SolveBudget::iterations(400));
+  const auto clean = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(400)});
   EXPECT_TRUE(clean.ok()) << clean.status.to_string();
   return clean.result.value;
 }
@@ -582,8 +593,8 @@ TEST(LpFaults, PivotPerturbationIsCaughtByTheResidualVerifier) {
   plan.seed = 21;
   plan.rate_of(fault::FaultSite::kLpPivotPerturb) = 1.0;
   fault::FaultContext ctx(plan);
-  const auto solved = core::solve_double_oracle_budgeted(
-      game, 1e-9, SolveBudget::iterations(100), nullptr, &ctx);
+  const auto solved = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(100), .fault = &ctx});
   EXPECT_GT(ctx.injected(fault::FaultSite::kLpPivotPerturb), 0u);
   expect_sound_bracket(solved, ref);
 }
@@ -595,8 +606,8 @@ TEST(LpFaults, ForcedInstabilityDegradesTruthfully) {
   plan.seed = 22;
   plan.rate_of(fault::FaultSite::kLpForceUnstable) = 1.0;
   fault::FaultContext ctx(plan);
-  const auto solved = core::solve_double_oracle_budgeted(
-      game, 1e-9, SolveBudget::iterations(100), nullptr, &ctx);
+  const auto solved = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(100), .fault = &ctx});
   EXPECT_GT(ctx.injected(fault::FaultSite::kLpForceUnstable), 0u);
   // The status may be kOk (exact oracles certified convergence anyway),
   // kNumericallyUnstable, or kIterationLimit — but never a lie about the
@@ -614,8 +625,8 @@ TEST(DeadlineStarve, ForwardSkewExpiresTheDeadlineGracefully) {
   SolveBudget budget;
   budget.max_iterations = 500;
   budget.wall_clock_seconds = 30.0;  // generous — only the skew can kill it
-  const auto solved = core::solve_double_oracle_resumable(
-      game, 1e-9, budget, core::ResumeHooks{}, nullptr, &ctx);
+  const auto solved =
+      core::solve_double_oracle(game, {.budget = budget, .fault = &ctx});
   EXPECT_GT(ctx.injected(fault::FaultSite::kDeadlineStarve), 0u);
   // Either the solve converged before the injected jumps accumulated past
   // the deadline, or it degraded to kDeadlineExceeded — both truthful.
@@ -640,8 +651,8 @@ TEST(ChaosSoundness, EverySiteArmedBracketStaysCertified) {
     // deadline in the budget they would only slow nothing down, so keep
     // them in — they must be harmless.
     fault::FaultContext ctx(plan);
-    const auto solved = core::solve_double_oracle_budgeted(
-        game, 1e-9, SolveBudget::iterations(60), nullptr, &ctx);
+    const auto solved = core::solve_double_oracle(
+        game, {.budget = SolveBudget::iterations(60), .fault = &ctx});
     expect_sound_bracket(solved, ref);
     EXPECT_GT(ctx.total_injected(), 0u) << "seed " << seed;
     // The status must be truthful: kOk implies a closed bracket.

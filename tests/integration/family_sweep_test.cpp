@@ -94,7 +94,8 @@ TEST_P(FamilySweep, FullPipelineInvariants) {
   // Value consistency: the double oracle independently lands on the same
   // unique value (run with single-attacker normalization).
   const TupleGame unit_game(c.g, c.k, 1);
-  EXPECT_NEAR(solve_double_oracle(unit_game).value, hit_pred, 1e-6);
+  EXPECT_NEAR(solve_double_oracle(unit_game).value_or_throw().value, hit_pred,
+              1e-6);
 
   // Serialization round trip preserves the payoff-relevant state.
   const MixedConfiguration restored =

@@ -21,7 +21,8 @@ void expect_value_agreement(const graph::Graph& g, std::size_t k) {
   ASSERT_TRUE(result.has_value()) << "k=" << k;
   const double combinatorial =
       analytic_hit_probability(game, result->k_matching_ne);
-  const lp::MatrixGameSolution lp_solution = solve_zero_sum(game);
+  const lp::MatrixGameSolution lp_solution =
+      solve_zero_sum(game).value_or_throw();
   EXPECT_NEAR(lp_solution.value, combinatorial, 1e-7)
       << "board n=" << g.num_vertices() << " k=" << k;
 }
@@ -55,7 +56,8 @@ TEST(LpCrosscheck, LpDefenderStrategyIsOptimalAgainstTheFormula) {
   // every vertex (row security level = value).
   const TupleGame game(graph::cycle_graph(6), 2, 1);
   const lp::Matrix payoff = coverage_matrix(game);
-  const lp::MatrixGameSolution s = lp::solve_matrix_game(payoff);
+  const lp::MatrixGameSolution s =
+      lp::solve_matrix_game(payoff).value_or_throw();
   EXPECT_NEAR(lp::row_security_level(payoff, s.row_strategy), s.value, 1e-7);
   EXPECT_NEAR(s.value, 2.0 / 3, 1e-7);
 }

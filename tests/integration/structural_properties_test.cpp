@@ -67,13 +67,13 @@ TEST(Structural, DoubleOracleOnRealisticTopologies) {
   util::Rng rng(42);
   const graph::Graph ba = graph::barabasi_albert(40, 2, rng);
   const TupleGame ba_game(ba, 4, 1);
-  const auto ba_result = solve_double_oracle(ba_game);
+  const auto ba_result = solve_double_oracle(ba_game).value_or_throw();
   EXPECT_GT(ba_result.value, 0.0);
   EXPECT_LE(ba_result.value, coverage_ceiling(ba_game) + 1e-9);
 
   const graph::Graph ws = graph::watts_strogatz(36, 4, 0.2, rng);
   const TupleGame ws_game(ws, 4, 1);
-  const auto ws_result = solve_double_oracle(ws_game);
+  const auto ws_result = solve_double_oracle(ws_game).value_or_throw();
   EXPECT_GT(ws_result.value, 0.0);
   EXPECT_LE(ws_result.value, coverage_ceiling(ws_game) + 1e-9);
 }

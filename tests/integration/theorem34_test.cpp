@@ -39,7 +39,8 @@ TEST(Theorem34, AcceptsLpEquilibriaOnSmallBoards) {
                         graph::star_graph(4)}) {
     for (std::size_t k = 1; k <= 2; ++k) {
       const TupleGame game(g, k, 2);
-      const auto config = to_configuration(game, solve_zero_sum(game));
+      const auto config =
+          to_configuration(game, solve_zero_sum(game).value_or_throw());
       EXPECT_TRUE(
           is_mixed_ne_by_best_response(game, config, Oracle::kExhaustive,
                                        1e-6));

@@ -36,7 +36,8 @@ InstanceValues collect(const graph::Graph& g, std::size_t k) {
       v.perfect_matching = analytic_hit_probability(game, *pm);
   if (k == 1 && regularity(g))
     v.edge_uniform = edge_uniform_hit_probability(game);
-  if (game.num_tuples() <= 2000) v.lp = solve_zero_sum(game).value;
+  if (game.num_tuples() <= 2000)
+    v.lp = solve_zero_sum(game).value_or_throw().value;
   return v;
 }
 

@@ -23,7 +23,7 @@ void expect_equilibrium(const Matrix& payoff, const MatrixGameSolution& s,
 
 TEST(MatrixGame, MatchingPennies) {
   const Matrix payoff{{1, -1}, {-1, 1}};
-  const MatrixGameSolution s = solve_matrix_game(payoff);
+  const MatrixGameSolution s = solve_matrix_game(payoff).value_or_throw();
   EXPECT_NEAR(s.value, 0.0, 1e-9);
   EXPECT_NEAR(s.row_strategy[0], 0.5, 1e-7);
   EXPECT_NEAR(s.col_strategy[0], 0.5, 1e-7);
@@ -32,7 +32,7 @@ TEST(MatrixGame, MatchingPennies) {
 
 TEST(MatrixGame, RockPaperScissors) {
   const Matrix payoff{{0, -1, 1}, {1, 0, -1}, {-1, 1, 0}};
-  const MatrixGameSolution s = solve_matrix_game(payoff);
+  const MatrixGameSolution s = solve_matrix_game(payoff).value_or_throw();
   EXPECT_NEAR(s.value, 0.0, 1e-9);
   for (double p : s.row_strategy) EXPECT_NEAR(p, 1.0 / 3, 1e-7);
   for (double p : s.col_strategy) EXPECT_NEAR(p, 1.0 / 3, 1e-7);
@@ -42,7 +42,7 @@ TEST(MatrixGame, RockPaperScissors) {
 TEST(MatrixGame, SaddlePointGame) {
   // Row 1 dominates; the saddle value is 2 at (row 1, col 0).
   const Matrix payoff{{1, 0}, {2, 3}};
-  const MatrixGameSolution s = solve_matrix_game(payoff);
+  const MatrixGameSolution s = solve_matrix_game(payoff).value_or_throw();
   EXPECT_NEAR(s.value, 2.0, 1e-9);
   EXPECT_NEAR(s.row_strategy[1], 1.0, 1e-7);
   EXPECT_NEAR(s.col_strategy[0], 1.0, 1e-7);
@@ -51,27 +51,27 @@ TEST(MatrixGame, SaddlePointGame) {
 
 TEST(MatrixGame, NonSquareGame) {
   const Matrix payoff{{2, 1, 0}, {0, 1, 2}};
-  const MatrixGameSolution s = solve_matrix_game(payoff);
+  const MatrixGameSolution s = solve_matrix_game(payoff).value_or_throw();
   EXPECT_NEAR(s.value, 1.0, 1e-7);
   expect_equilibrium(payoff, s);
 }
 
 TEST(MatrixGame, AllNegativeEntriesHandledByShift) {
   const Matrix payoff{{-3, -5}, {-4, -2}};
-  const MatrixGameSolution s = solve_matrix_game(payoff);
+  const MatrixGameSolution s = solve_matrix_game(payoff).value_or_throw();
   EXPECT_LT(s.value, 0);
   expect_equilibrium(payoff, s);
 }
 
 TEST(MatrixGame, ConstantGameHasConstantValue) {
   const Matrix payoff{{4, 4}, {4, 4}};
-  const MatrixGameSolution s = solve_matrix_game(payoff);
+  const MatrixGameSolution s = solve_matrix_game(payoff).value_or_throw();
   EXPECT_NEAR(s.value, 4.0, 1e-9);
 }
 
 TEST(MatrixGame, SingleRowIsPureMinimization) {
   const Matrix payoff{{3, 1, 2}};
-  const MatrixGameSolution s = solve_matrix_game(payoff);
+  const MatrixGameSolution s = solve_matrix_game(payoff).value_or_throw();
   EXPECT_NEAR(s.value, 1.0, 1e-9);
   EXPECT_NEAR(s.col_strategy[1], 1.0, 1e-7);
 }
@@ -85,7 +85,7 @@ TEST(MatrixGame, RandomGamesSatisfyMinimaxWithinTolerance) {
     for (std::size_t r = 0; r < rows; ++r)
       for (std::size_t c = 0; c < cols; ++c)
         payoff.at(r, c) = rng.uniform(-5.0, 5.0);
-    const MatrixGameSolution s = solve_matrix_game(payoff);
+    const MatrixGameSolution s = solve_matrix_game(payoff).value_or_throw();
     expect_equilibrium(payoff, s, 1e-6);
   }
 }

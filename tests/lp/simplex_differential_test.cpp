@@ -89,7 +89,7 @@ void expect_games_bit_equal(const Solved<lp::MatrixGameSolution>& flat,
                      tag + ": col_strategy[" + std::to_string(j) + "]");
 }
 
-/// The matrix-game LP exactly as solve_matrix_game_budgeted builds it:
+/// The matrix-game LP exactly as solve_matrix_game builds it:
 /// shifted payoff, unit rhs and objective.
 struct GameLp {
   lp::Matrix a;
@@ -142,17 +142,15 @@ TEST(SimplexDifferentialTest, StressCorpusBitEqual) {
 }
 
 /// Complete matrix-game brackets — shift, LP, strategy cleaning, security
-/// levels, status mapping — through solve_matrix_game_budgeted_with on both
-/// backends.
+/// levels, status mapping — through solve_matrix_game on both backends.
 TEST(SimplexDifferentialTest, MatrixGameBracketsBitEqual) {
   util::Rng rng(777001);
   for (std::size_t i = 0; i < 24; ++i) {
     const core::TupleGame game = test_corpus::random_game(rng);
     const lp::Matrix payoff = core::coverage_matrix(game);
-    const auto flat = lp::solve_matrix_game_budgeted_with(
-        &lp::solve_max, payoff, SolveBudget::unlimited_budget());
-    const auto ref = lp::solve_matrix_game_budgeted_with(
-        &lp::reference::solve_max, payoff, SolveBudget::unlimited_budget());
+    const auto flat = lp::solve_matrix_game(payoff);
+    const auto ref = lp::solve_matrix_game(payoff, {}, nullptr, nullptr,
+                                           &lp::reference::solve_max);
     expect_games_bit_equal(flat, ref, "game " + std::to_string(i));
   }
 }

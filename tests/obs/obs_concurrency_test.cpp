@@ -170,8 +170,8 @@ TEST(NullObsConcurrency, ConcurrentNullObsSolvesStayBitIdentical) {
   // with obs == nullptr are bit-identical to the same solves run serially.
   const graph::Graph g = graph::petersen_graph();
   const core::TupleGame game(g, 3, 1);
-  const auto serial = core::solve_double_oracle_budgeted(
-      game, 1e-9, SolveBudget::iterations(200), nullptr);
+  const auto serial = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(200)});
 
   struct Ctx {
     const core::TupleGame* game;
@@ -182,8 +182,8 @@ TEST(NullObsConcurrency, ConcurrentNullObsSolvesStayBitIdentical) {
   run_threads(
       [](std::size_t t, void* arg) {
         Ctx& c = *static_cast<Ctx*>(arg);
-        (*c.results)[t] = core::solve_double_oracle_budgeted(
-            *c.game, 1e-9, SolveBudget::iterations(200), nullptr);
+        (*c.results)[t] = core::solve_double_oracle(
+            *c.game, {.budget = SolveBudget::iterations(200)});
       },
       &ctx);
 

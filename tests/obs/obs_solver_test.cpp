@@ -58,11 +58,11 @@ void expect_same_status(const Solved<T>& a, const Solved<T>& b) {
 TEST(NullObsIdentity, DoubleOracleIsBitIdentical) {
   const graph::Graph g = graph::petersen_graph();
   const core::TupleGame game(g, 3, 1);
-  const auto plain = core::solve_double_oracle_budgeted(
-      game, 1e-9, SolveBudget::iterations(200), nullptr);
+  const auto plain = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(200)});
   FullObs obs;
-  const auto traced = core::solve_double_oracle_budgeted(
-      game, 1e-9, SolveBudget::iterations(200), &obs.ctx);
+  const auto traced = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(200), .obs = &obs.ctx});
 
   expect_same_status(plain, traced);
   EXPECT_EQ(plain.result.value, traced.result.value);
@@ -95,11 +95,13 @@ TEST(NullObsIdentity, LearningDynamicsAreBitIdentical) {
   const graph::Graph g = graph::grid_graph(3, 4);
   const core::TupleGame game(g, 2, 1);
 
-  const auto fp_plain = sim::fictitious_play_budgeted(
-      game, SolveBudget::iterations(300), 1e-4, nullptr);
+  const auto fp_plain = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(300), .tolerance = 1e-4});
   FullObs fp_obs;
-  const auto fp_traced = sim::fictitious_play_budgeted(
-      game, SolveBudget::iterations(300), 1e-4, &fp_obs.ctx);
+  const auto fp_traced = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(300),
+             .tolerance = 1e-4,
+             .obs = &fp_obs.ctx});
   expect_same_status(fp_plain, fp_traced);
   EXPECT_EQ(fp_plain.result.value_estimate, fp_traced.result.value_estimate);
   EXPECT_EQ(fp_plain.result.gap, fp_traced.result.gap);
@@ -115,11 +117,14 @@ TEST(NullObsIdentity, LearningDynamicsAreBitIdentical) {
   EXPECT_EQ(fp_plain.result.defender_hit_frequency,
             fp_traced.result.defender_hit_frequency);
 
-  const auto hg_plain = sim::hedge_dynamics_budgeted(
-      game, SolveBudget::iterations(200), 1e-4, nullptr);
+  const auto hg_plain = sim::hedge_dynamics(
+      game, 200, {.budget = SolveBudget::iterations(200), .tolerance = 1e-4});
   FullObs hg_obs;
-  const auto hg_traced = sim::hedge_dynamics_budgeted(
-      game, SolveBudget::iterations(200), 1e-4, &hg_obs.ctx);
+  const auto hg_traced = sim::hedge_dynamics(
+      game, 200,
+      {.budget = SolveBudget::iterations(200),
+       .tolerance = 1e-4,
+       .obs = &hg_obs.ctx});
   expect_same_status(hg_plain, hg_traced);
   EXPECT_EQ(hg_plain.result.value_estimate, hg_traced.result.value_estimate);
   EXPECT_EQ(hg_plain.result.gap, hg_traced.result.gap);
@@ -138,8 +143,8 @@ TEST(Acceptance, FiftyVertexDoubleOracleTrace) {
   const core::TupleGame game(g, 4, 1);
 
   FullObs obs;
-  const auto solved = core::solve_double_oracle_budgeted(
-      game, 1e-9, SolveBudget::iterations(500), &obs.ctx);
+  const auto solved = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(500), .obs = &obs.ctx});
   ASSERT_TRUE(solved.ok()) << solved.status.to_string();
 
   // Convergence recorder: one sample per outer iteration, running bounds
@@ -191,8 +196,8 @@ TEST(Acceptance, FiftyVertexDoubleOracleTrace) {
 TEST(Degradation, StarvedSolveFinishesWithNonOkStatusEvent) {
   const core::TupleGame game(graph::petersen_graph(), 3, 1);
   FullObs obs;
-  const auto solved = core::solve_double_oracle_budgeted(
-      game, 1e-9, SolveBudget::iterations(1), &obs.ctx);
+  const auto solved = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(1), .obs = &obs.ctx});
   ASSERT_FALSE(solved.ok());
   std::string finish_line;
   for (const std::string& line : obs.lines())
@@ -208,8 +213,10 @@ TEST(LearningDynamics, CheckpointAndFinishEventsMatchResults) {
   const core::TupleGame game(graph::grid_graph(3, 4), 2, 1);
 
   FullObs fp_obs;
-  const auto fp = sim::fictitious_play_budgeted(
-      game, SolveBudget::iterations(300), 1e-4, &fp_obs.ctx);
+  const auto fp = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(300),
+             .tolerance = 1e-4,
+             .obs = &fp_obs.ctx});
   EXPECT_TRUE(fp_obs.recorder.monotonically_narrowing());
   EXPECT_EQ(fp_obs.recorder.samples().size(), fp.result.trace.size());
   std::string fp_finish;
@@ -225,8 +232,11 @@ TEST(LearningDynamics, CheckpointAndFinishEventsMatchResults) {
   EXPECT_EQ(fp_obs.metrics.counter("fp.rounds").value(), fp.result.rounds);
 
   FullObs hg_obs;
-  const auto hedge = sim::hedge_dynamics_budgeted(
-      game, SolveBudget::iterations(200), 1e-4, &hg_obs.ctx);
+  const auto hedge = sim::hedge_dynamics(
+      game, 200,
+      {.budget = SolveBudget::iterations(200),
+       .tolerance = 1e-4,
+       .obs = &hg_obs.ctx});
   EXPECT_TRUE(hg_obs.recorder.monotonically_narrowing());
   std::string hg_finish;
   for (const std::string& line : hg_obs.lines()) {
@@ -250,8 +260,10 @@ TEST(WeightedVariants, EmitWeightedEventNames) {
     weights[v] = 1.0 + 0.25 * static_cast<double>(v % 4);
 
   FullObs obs;
-  const auto solved = core::solve_weighted_double_oracle_budgeted(
-      game, weights, 1e-9, SolveBudget::iterations(200), &obs.ctx);
+  const auto solved = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(200),
+             .weights = weights,
+             .obs = &obs.ctx});
   ASSERT_TRUE(solved.ok()) << solved.status.to_string();
   bool saw_span = false, saw_finish = false;
   for (const std::string& line : obs.lines()) {

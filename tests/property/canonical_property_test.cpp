@@ -200,8 +200,9 @@ TEST(SolveProperty, EquilibriumValueAgreesUnderPermutation) {
 
     const core::TupleGame game(g, 2, 1);
     const core::TupleGame pgame(pg, 2, 1);
-    const auto a = core::solve_double_oracle_budgeted(game, 1e-10, budget);
-    const auto b = core::solve_double_oracle_budgeted(pgame, 1e-10, budget);
+    const SolveOptions opts{.budget = budget, .tolerance = 1e-10};
+    const auto a = core::solve_double_oracle(game, opts);
+    const auto b = core::solve_double_oracle(pgame, opts);
     ASSERT_TRUE(a.ok()) << "trial " << trial << ": " << a.status.describe();
     ASSERT_TRUE(b.ok()) << "trial " << trial << ": " << b.status.describe();
     EXPECT_NEAR(a.result.value, b.result.value, 1e-9) << "trial " << trial;

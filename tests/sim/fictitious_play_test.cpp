@@ -11,9 +11,14 @@ namespace {
 
 using core::TupleGame;
 
+/// Options for a fixed-length run: tolerance 0 plays every round.
+SolveOptions rounds(std::size_t n) {
+  return {.budget = SolveBudget::iterations(n), .tolerance = 0};
+}
+
 TEST(FictitiousPlay, BoundsBracketTheValue) {
   const TupleGame game(graph::cycle_graph(6), 1, 1);
-  const FictitiousPlayResult r = fictitious_play(game, 2000);
+  const FictitiousPlayResult r = fictitious_play(game, rounds(2000)).result;
   // True value is 1/3 (three defendable disjoint edges).
   EXPECT_GE(r.trace.back().upper, 1.0 / 3 - 1e-9);
   EXPECT_LE(r.trace.back().lower, 1.0 / 3 + 1e-9);
@@ -22,8 +27,10 @@ TEST(FictitiousPlay, BoundsBracketTheValue) {
 
 TEST(FictitiousPlay, GapShrinksWithRounds) {
   const TupleGame game(graph::cycle_graph(6), 1, 1);
-  const FictitiousPlayResult short_run = fictitious_play(game, 50);
-  const FictitiousPlayResult long_run = fictitious_play(game, 5000);
+  const FictitiousPlayResult short_run =
+      fictitious_play(game, rounds(50)).result;
+  const FictitiousPlayResult long_run =
+      fictitious_play(game, rounds(5000)).result;
   EXPECT_LT(long_run.gap, short_run.gap + 1e-12);
   EXPECT_LT(long_run.gap, 0.1);
 }
@@ -31,8 +38,9 @@ TEST(FictitiousPlay, GapShrinksWithRounds) {
 TEST(FictitiousPlay, MatchesLpValueOnSmallInstances) {
   for (std::size_t k = 1; k <= 2; ++k) {
     const TupleGame game(graph::path_graph(5), k, 1);
-    const double lp_value = core::solve_zero_sum(game).value;
-    const FictitiousPlayResult r = fictitious_play(game, 4000);
+    const double lp_value =
+        core::solve_zero_sum(game).value_or_throw().value;
+    const FictitiousPlayResult r = fictitious_play(game, rounds(4000)).result;
     EXPECT_NEAR(r.value_estimate, lp_value, 0.05) << "k=" << k;
     EXPECT_GE(r.trace.back().upper, lp_value - 1e-9) << "k=" << k;
     EXPECT_LE(r.trace.back().lower, lp_value + 1e-9) << "k=" << k;
@@ -41,13 +49,13 @@ TEST(FictitiousPlay, MatchesLpValueOnSmallInstances) {
 
 TEST(FictitiousPlay, StarConvergesToKOverLeaves) {
   const TupleGame game(graph::star_graph(5), 2, 1);
-  const FictitiousPlayResult r = fictitious_play(game, 3000);
+  const FictitiousPlayResult r = fictitious_play(game, rounds(3000)).result;
   EXPECT_NEAR(r.value_estimate, 2.0 / 5, 0.05);
 }
 
 TEST(FictitiousPlay, TraceIsMonotoneInRounds) {
   const TupleGame game(graph::cycle_graph(8), 2, 1);
-  const FictitiousPlayResult r = fictitious_play(game, 1000);
+  const FictitiousPlayResult r = fictitious_play(game, rounds(1000)).result;
   ASSERT_GE(r.trace.size(), 3u);
   for (std::size_t i = 1; i < r.trace.size(); ++i)
     EXPECT_GT(r.trace[i].round, r.trace[i - 1].round);
@@ -55,7 +63,7 @@ TEST(FictitiousPlay, TraceIsMonotoneInRounds) {
 
 TEST(FictitiousPlay, FrequenciesAreDistributions) {
   const TupleGame game(graph::cycle_graph(6), 1, 1);
-  const FictitiousPlayResult r = fictitious_play(game, 500);
+  const FictitiousPlayResult r = fictitious_play(game, rounds(500)).result;
   double mass = 0;
   for (double f : r.attacker_frequency) {
     EXPECT_GE(f, 0.0);
@@ -66,7 +74,7 @@ TEST(FictitiousPlay, FrequenciesAreDistributions) {
 
 TEST(FictitiousPlay, RejectsZeroRounds) {
   const TupleGame game(graph::path_graph(3), 1, 1);
-  EXPECT_THROW(fictitious_play(game, 0), ContractViolation);
+  EXPECT_THROW(fictitious_play(game, rounds(0)), ContractViolation);
 }
 
 }  // namespace

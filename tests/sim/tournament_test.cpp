@@ -64,7 +64,7 @@ TEST(Tournament, RejectsEmptyPolicySets) {
 
 TEST(Exploitability, EquilibriumPoliciesHaveZero) {
   const TupleGame game = c6(1);
-  const double value = core::solve_double_oracle(game).value;
+  const double value = core::solve_double_oracle(game).value_or_throw().value;
   EXPECT_NEAR(value, 1.0 / 3, 1e-7);
   EXPECT_NEAR(defender_exploitability(game, equilibrium_defender().mix, value),
               0.0, 1e-9);
@@ -88,7 +88,7 @@ TEST(Exploitability, GuaranteeAndConcessionBracketTheValue) {
   // For ANY pair of mixes: guarantee <= value <= concession.
   const graph::Graph g = graph::grid_graph(3, 4);
   const TupleGame game(g, 2, 1);
-  const double value = core::solve_double_oracle(game).value;
+  const double value = core::solve_double_oracle(game).value_or_throw().value;
   const auto ne = core::a_tuple_bipartite(game);
   ASSERT_TRUE(ne.has_value());
   EXPECT_LE(defender_guarantee(game, ne->configuration.defender),

@@ -170,12 +170,11 @@ void check_simplex_differential(const core::TupleGame& game,
                                 fault::FaultContext* flat_fault = nullptr,
                                 fault::FaultContext* ref_fault = nullptr) {
   const lp::Matrix payoff = core::coverage_matrix(game);
-  const auto flat = lp::solve_matrix_game_budgeted_with(
-      &lp::solve_max, payoff, SolveBudget::unlimited_budget(), g_obs,
-      flat_fault);
-  const auto ref = lp::solve_matrix_game_budgeted_with(
-      &lp::reference::solve_max, payoff, SolveBudget::unlimited_budget(),
-      g_obs, ref_fault);
+  const auto flat = lp::solve_matrix_game(
+      payoff, SolveBudget::unlimited_budget(), g_obs, flat_fault);
+  const auto ref =
+      lp::solve_matrix_game(payoff, SolveBudget::unlimited_budget(), g_obs,
+                            ref_fault, &lp::reference::solve_max);
   check(flat.status.code == ref.status.code,
         tag + ": flat/reference simplex status diverged (" +
             flat.status.describe() + " vs " + ref.status.describe() + ")");
@@ -207,12 +206,12 @@ void differential_instance(util::Rng& rng, std::size_t index) {
   check_simplex_differential(game, tag);
 
   // Route 1: exact LP over the enumerated tuple space.
-  const double lp_value = core::solve_zero_sum(game).value;
+  const double lp_value = core::solve_zero_sum(game).value_or_throw().value;
 
   // Route 2: double oracle (exact, without enumeration).
   const Solved<core::DoubleOracleResult> oracle =
-      core::solve_double_oracle_budgeted(game, 1e-9,
-                                         SolveBudget::iterations(400), g_obs);
+      core::solve_double_oracle(
+          game, {.budget = SolveBudget::iterations(400), .obs = g_obs});
   check(oracle.ok(), tag + ": double oracle did not converge: " +
                          oracle.status.describe());
   check(std::abs(oracle.result.value - lp_value) <= kValueTolerance,
@@ -220,8 +219,10 @@ void differential_instance(util::Rng& rng, std::size_t index) {
             " vs double oracle " + std::to_string(oracle.result.value));
 
   // Route 3: fictitious play's certified bracket must contain the value.
-  const Solved<sim::FictitiousPlayResult> fp = sim::fictitious_play_budgeted(
-      game, SolveBudget::iterations(400), 1e-7, g_obs);
+  const Solved<sim::FictitiousPlayResult> fp = sim::fictitious_play(
+      game, {.budget = SolveBudget::iterations(400),
+             .tolerance = 1e-7,
+             .obs = g_obs});
   check(fp.result.trace.back().lower <= lp_value + kValueTolerance &&
             fp.result.trace.back().upper >= lp_value - kValueTolerance,
         tag + ": FP bracket [" +
@@ -231,8 +232,10 @@ void differential_instance(util::Rng& rng, std::size_t index) {
 
   // Route 4: Hedge's certified bracket must contain the value too.
   const Solved<sim::HedgeResult> hedge =
-      sim::hedge_dynamics_budgeted(game, SolveBudget::iterations(400), 1e-7,
-                                   g_obs);
+      sim::hedge_dynamics(game, 400,
+                          {.budget = SolveBudget::iterations(400),
+                           .tolerance = 1e-7,
+                           .obs = g_obs});
   check(hedge.result.trace.back().lower <= lp_value + kValueTolerance &&
             hedge.result.trace.back().upper >= lp_value - kValueTolerance,
         tag + ": Hedge bracket misses LP value " + std::to_string(lp_value));
@@ -252,9 +255,8 @@ void differential_instance(util::Rng& rng, std::size_t index) {
   if (index % 10 == 0) {
     try {
       const Solved<core::DoubleOracleResult> starved =
-          core::solve_double_oracle_budgeted(game, 1e-9,
-                                             SolveBudget::iterations(1),
-                                             g_obs);
+          core::solve_double_oracle(
+              game, {.budget = SolveBudget::iterations(1), .obs = g_obs});
       // kOk after one iteration is legitimate (the seed working set can
       // already be an equilibrium) but then the value must be exact.
       if (starved.ok())
@@ -295,7 +297,7 @@ void chaos_instance(util::Rng& rng, std::size_t index, double fault_rate,
                           ", k=" + std::to_string(game.k()) + ")";
 
   // Ground truth, computed fault-free.
-  const double lp_value = core::solve_zero_sum(game).value;
+  const double lp_value = core::solve_zero_sum(game).value_or_throw().value;
 
   fault::FaultPlan plan;
   plan.seed = fault_seed ^ (0x9e3779b97f4a7c15ULL * (index + 1));
@@ -319,11 +321,11 @@ void chaos_instance(util::Rng& rng, std::size_t index, double fault_rate,
     budget.max_iterations = 400;
     budget.wall_clock_seconds = 60.0;
     core::SolverCheckpoint cp;
-    core::ResumeHooks hooks;
-    hooks.capture = &cp;
     const Solved<core::DoubleOracleResult> solved =
-        core::solve_double_oracle_resumable(game, 1e-9, budget, hooks,
-                                            g_obs, &do_ctx);
+        core::solve_double_oracle(game, {.budget = budget,
+                                         .capture = &cp,
+                                         .obs = g_obs,
+                                         .fault = &do_ctx});
     check(std::isfinite(solved.result.lower_bound) &&
               std::isfinite(solved.result.upper_bound),
           tag + ": non-finite bracket under faults");
@@ -344,10 +346,9 @@ void chaos_instance(util::Rng& rng, std::size_t index, double fault_rate,
     check(reparsed.ok(), tag + ": checkpoint captured under faults does "
                                "not reparse: " + reparsed.status.describe());
     if (reparsed.ok()) {
-      core::ResumeHooks resume;
-      resume.resume = &reparsed.result;
-      const auto resumed = core::solve_double_oracle_resumable(
-          game, 1e-9, SolveBudget::iterations(50), resume);
+      const auto resumed = core::solve_double_oracle(
+          game, {.budget = SolveBudget::iterations(50),
+                 .resume = &reparsed.result});
       check(resumed.status.code != StatusCode::kInvalidInput,
             tag + ": chaos checkpoint rejected on resume: " +
                 resumed.status.describe());
@@ -362,8 +363,10 @@ void chaos_instance(util::Rng& rng, std::size_t index, double fault_rate,
   try {
     fault::FaultContext fp_ctx(plan);
     const Solved<sim::FictitiousPlayResult> fp =
-        sim::fictitious_play_budgeted(game, SolveBudget::iterations(200),
-                                      1e-7, g_obs, &fp_ctx);
+        sim::fictitious_play(game, {.budget = SolveBudget::iterations(200),
+                                    .tolerance = 1e-7,
+                                    .obs = g_obs,
+                                    .fault = &fp_ctx});
     check(fp.result.trace.back().lower <= lp_value + kValueTolerance &&
               fp.result.trace.back().upper >= lp_value - kValueTolerance,
           tag + ": faulted FP bracket misses LP value " +
@@ -374,8 +377,12 @@ void chaos_instance(util::Rng& rng, std::size_t index, double fault_rate,
 
   try {
     fault::FaultContext hg_ctx(plan);
-    const Solved<sim::HedgeResult> hedge = sim::hedge_dynamics_budgeted(
-        game, SolveBudget::iterations(200), 1e-7, g_obs, &hg_ctx);
+    const Solved<sim::HedgeResult> hedge = sim::hedge_dynamics(
+        game, 200,
+        {.budget = SolveBudget::iterations(200),
+         .tolerance = 1e-7,
+         .obs = g_obs,
+         .fault = &hg_ctx});
     check(hedge.result.trace.back().lower <= lp_value + kValueTolerance &&
               hedge.result.trace.back().upper >= lp_value - kValueTolerance,
           tag + ": faulted Hedge bracket misses LP value " +

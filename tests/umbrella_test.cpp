@@ -24,10 +24,11 @@ TEST(Umbrella, EndToEndThroughTheSingleInclude) {
   EXPECT_TRUE(core::verify_mixed_ne(game, ne->configuration).is_ne());
 
   // LP baseline.
-  EXPECT_NEAR(core::solve_zero_sum(game).value, 2.0 / 3, 1e-7);
+  EXPECT_NEAR(core::solve_zero_sum(game).value_or_throw().value, 2.0 / 3, 1e-7);
 
   // Double oracle.
-  EXPECT_NEAR(core::solve_double_oracle(game).value, 2.0 / 3, 1e-6);
+  EXPECT_NEAR(core::solve_double_oracle(game).value_or_throw().value, 2.0 / 3,
+              1e-6);
 
   // Serialization round trip.
   const std::string text = core::to_text(game, ne->configuration);
