@@ -88,6 +88,7 @@ class TupleSearch {
     out.best = best_;
     out.nodes = nodes_;
     out.truncated = truncated_;
+    out.cancelled = cancelled_;
     out.upper_bound =
         truncated_ ? std::max(best_.mass, open_bound_) : best_.mass;
     return out;
@@ -143,12 +144,13 @@ class TupleSearch {
   void descend(std::size_t from, double gained) {
     ++nodes_;
     if (node_budget_ != 0 && nodes_ > node_budget_) truncated_ = true;
-    // Cancellation reads the latch only (no countdown poll) on a node
-    // stride, and degrades exactly like budget exhaustion: the incumbent
-    // plus a sound completion bound for the abandoned subtree.
-    if (cancel_ != nullptr && nodes_ % kCancelStride == 0 &&
+    // Cancellation reads the latch only (no countdown poll) at the first
+    // node and then on a node stride, and degrades exactly like budget
+    // exhaustion: the incumbent plus a sound completion bound for the
+    // abandoned subtree.
+    if (cancel_ != nullptr && !cancelled_ && nodes_ % kCancelStride == 1 &&
         cancel_->cancelled())
-      truncated_ = true;
+      truncated_ = cancelled_ = true;
     if (truncated_) {
       // Budget ran out: record a sound bound for this abandoned subtree so
       // the caller knows how far the incumbent can be from optimal, then
@@ -203,6 +205,7 @@ class TupleSearch {
   CancelToken* cancel_ = nullptr;
   std::uint64_t nodes_ = 0;
   bool truncated_ = false;
+  bool cancelled_ = false;
   double open_bound_ = 0;
   std::vector<int> covered_;
   Tuple current_;

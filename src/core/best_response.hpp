@@ -53,6 +53,9 @@ struct BestTupleSearch {
   /// Sound upper bound on the true optimum (== best.mass when !truncated;
   /// the max completion bound over abandoned subtrees otherwise).
   double upper_bound = 0;
+  /// True when a fired cancel token (rather than the node budget) cut the
+  /// search short; `truncated` is then set too.
+  bool cancelled = false;
 };
 
 /// Branch-and-bound capped at `node_budget` node expansions (0 = unlimited,
@@ -72,9 +75,10 @@ struct BestTupleSearch {
 /// bit-identical.
 ///
 /// Cancellation: a non-null `cancel` is read (never polled — the countdown
-/// belongs to the outer solver loop) every few thousand node expansions; a
-/// fired token truncates the search exactly like node-budget exhaustion,
-/// so the incumbent and `upper_bound` stay sound.
+/// belongs to the outer solver loop) at the first node and every few
+/// thousand node expansions after it; a fired token truncates the search
+/// exactly like node-budget exhaustion, so the incumbent and `upper_bound`
+/// stay sound, and sets `cancelled`.
 BestTupleSearch best_tuple_branch_and_bound_budgeted(
     const TupleGame& game, const std::vector<double>& masses,
     std::uint64_t node_budget, obs::ObsContext* obs = nullptr,

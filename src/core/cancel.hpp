@@ -19,7 +19,9 @@
 // For deterministic tests and fault drills, `cancel_after_polls(n)` arms a
 // countdown that fires the latch on exactly the n-th outer-loop poll —
 // independent of wall-clock timing, so "cancel the double oracle at
-// iteration 7" is replayable bit-for-bit.
+// iteration 7" is replayable bit-for-bit. `cancel_after_reads(n)` is its
+// inner-loop twin: it fires on the n-th `cancelled()` read, so a test can
+// land a cancel inside any pivot or node batch without a second thread.
 #pragma once
 
 #include <atomic>
@@ -27,8 +29,8 @@
 
 namespace defender {
 
-/// Thread-safe cooperative cancellation latch with an optional
-/// deterministic poll countdown. Once set, the latch stays set; tokens are
+/// Thread-safe cooperative cancellation latch with optional deterministic
+/// poll and read countdowns. Once set, the latch stays set; tokens are
 /// single-use (one per solve attempt).
 class CancelToken {
  public:
@@ -40,15 +42,28 @@ class CancelToken {
   /// times; the first call wins and the rest are no-ops.
   void request_cancel() { cancelled_.store(true, std::memory_order_release); }
 
-  /// True once cancellation was requested (or the poll countdown fired).
-  /// Cheap enough for inner loops: one relaxed-ish atomic load.
-  bool cancelled() const { return cancelled_.load(std::memory_order_acquire); }
+  /// True once cancellation was requested (or a countdown fired). Cheap
+  /// enough for inner loops: two atomic loads while no read countdown is
+  /// armed.
+  bool cancelled() const {
+    if (read_countdown_.load(std::memory_order_acquire) != 0 &&
+        read_countdown_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      cancelled_.store(true, std::memory_order_release);
+    return latched();
+  }
 
   /// Arms a deterministic countdown: the n-th call to poll() (1-based)
   /// fires the latch. n == 0 disarms. Countdowns make cancellation
   /// replayable in tests without any timing dependence.
   void cancel_after_polls(std::uint64_t n) {
     countdown_.store(n, std::memory_order_release);
+  }
+
+  /// Arms a deterministic countdown on the inner-loop reads: the n-th call
+  /// to cancelled() (1-based) fires the latch and returns true. poll()
+  /// does not count as a read. n == 0 disarms.
+  void cancel_after_reads(std::uint64_t n) {
+    read_countdown_.store(n, std::memory_order_release);
   }
 
   /// Outer-loop poll site: decrements an armed countdown and returns the
@@ -61,7 +76,7 @@ class CancelToken {
         countdown_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       request_cancel();
     }
-    return cancelled();
+    return latched();
   }
 
   /// Total poll() calls observed (all threads). Diagnostic only.
@@ -70,9 +85,13 @@ class CancelToken {
   }
 
  private:
-  std::atomic<bool> cancelled_{false};
+  bool latched() const { return cancelled_.load(std::memory_order_acquire); }
+
+  // Mutable: a read countdown fires the latch from the const read site.
+  mutable std::atomic<bool> cancelled_{false};
   std::atomic<std::uint64_t> countdown_{0};
   std::atomic<std::uint64_t> polls_{0};
+  mutable std::atomic<std::uint64_t> read_countdown_{0};
 };
 
 }  // namespace defender

@@ -506,8 +506,13 @@ Solved<DoubleOracleResult> run_double_oracle(const Game& view,
                   "wall-clock deadline expired");
     if (meter.cancel_requested())
       return stop(StatusCode::kCancelled, "cancelled");
-    meter.charge_iteration();
 
+    // An exit inside the iteration (cancel or deadline in the restricted
+    // LP, cancel in the oracle) returns the loop state exactly as it stood
+    // at the top: the iteration is charged, and the snapshot, bracket,
+    // truncation flag and working sets move, only once the LP and both
+    // oracles have completed. A checkpoint taken there resumes to the
+    // uninterrupted answer.
     const lp::Matrix a = view.restricted(tuples, vertices);
     SolveBudget lp_budget;
     lp_budget.cancel = budget.cancel;
@@ -533,17 +538,21 @@ Solved<DoubleOracleResult> run_double_oracle(const Game& view,
     const std::vector<double>& att_probs = Game::kDefenderIsRow
                                                ? restricted.col_strategy
                                                : restricted.row_strategy;
+    const DefenderReply def =
+        view.defender_reply(vertices, att_probs, budget, obs, fault);
+    if (def.search.cancelled)
+      return stop(StatusCode::kCancelled,
+                  "cancelled inside the best-response oracle");
+    const AttackerReply att =
+        view.attacker_reply(restricted_hit(g, tuples, def_probs));
+    const Tuple& br_tuple = def.search.best.tuple;
+
+    meter.charge_iteration();
     snap.def_probs = def_probs;
     snap.att_probs = att_probs;
     snap.value = restricted.value;
     snap.valid = true;
-
-    const DefenderReply def =
-        view.defender_reply(vertices, att_probs, budget, obs, fault);
     any_truncated = any_truncated || def.search.truncated;
-    const AttackerReply att =
-        view.attacker_reply(restricted_hit(g, tuples, def_probs));
-    const Tuple& br_tuple = def.search.best.tuple;
 
     const Reply& row = Game::kDefenderIsRow ? def.payoff : att.payoff;
     const Reply& col = Game::kDefenderIsRow ? att.payoff : def.payoff;

@@ -18,8 +18,10 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/budget.hpp"
@@ -434,9 +436,13 @@ TEST(ResumeValidation, MismatchesAreRejectedAsInvalidInput) {
 // Cancellation + resume: cancelling any of the five solvers mid-run via a
 // CancelToken (the engine watchdog's kill path) yields kCancelled with a
 // resumable checkpoint; resuming without the token reproduces the
-// uninterrupted run's status and value bit for bit. Tokens count POLLS,
-// and only the outer solver loops poll, so cancel_after_polls maps
-// deterministically onto outer iterations.
+// uninterrupted run's status and value bit for bit. Outer solver loops
+// POLL the token once per iteration, so cancel_after_polls maps
+// deterministically onto outer iterations. Inner loops (simplex pivot
+// batches, oracle node batches) only READ the latch; cancel_after_reads
+// lands a cancel on any one of those reads, and double oracle then
+// returns the state it held at the top of the interrupted iteration, so
+// those cancels resume exactly too (InnerCancelResume below).
 
 /// One budget with a cancel token attached.
 SolveBudget cancellable(SolveBudget budget, CancelToken* token) {
@@ -626,6 +632,74 @@ TEST(CancelResume, AlreadyCancelledTokenStopsAtTheFirstPoll) {
   const auto resumed = core::solve_double_oracle(
       game, {.budget = SolveBudget::iterations(100), .resume = &cp});
   EXPECT_TRUE(resumed.ok()) << resumed.status.to_string();
+}
+
+/// Fires the token on the j-th inner read, for every j an uninterrupted
+/// double-oracle solve of `game` performs, and requires each
+/// capture-then-resume to reproduce the uninterrupted run's status,
+/// iterations, value and bracket. Requires cancels to have landed both in
+/// the restricted LP and in the oracle.
+void sweep_inner_cancels(const core::TupleGame& game,
+                         std::span<const double> weights,
+                         const std::string& tag) {
+  const auto full = core::solve_double_oracle(
+      game, {.budget = SolveBudget::iterations(200), .weights = weights});
+  ASSERT_TRUE(full.ok()) << tag << ": " << full.status.to_string();
+  std::size_t lp_exits = 0;
+  std::size_t oracle_exits = 0;
+  for (std::uint64_t j = 1;; ++j) {
+    const std::string at = tag + ", read " + std::to_string(j);
+    CancelToken token;
+    token.cancel_after_reads(j);
+    core::SolverCheckpoint cp;
+    const auto cancelled = core::solve_double_oracle(
+        game, {.budget = cancellable(SolveBudget::iterations(200), &token),
+               .weights = weights,
+               .capture = &cp});
+    if (cancelled.status.code != StatusCode::kCancelled) {
+      // j is past the last inner read: the run finished untouched.
+      EXPECT_EQ(cancelled.status.code, full.status.code) << at;
+      EXPECT_EQ(cancelled.result.iterations, full.result.iterations) << at;
+      EXPECT_EQ(cancelled.result.value, full.result.value) << at;
+      break;
+    }
+    const std::string& message = cancelled.status.message;
+    if (message.find("restricted LP") != std::string::npos) ++lp_exits;
+    if (message.find("best-response oracle") != std::string::npos)
+      ++oracle_exits;
+
+    const core::SolverCheckpoint restored = through_text(cp);
+    const auto resumed = core::solve_double_oracle(
+        game, {.budget = SolveBudget::iterations(200),
+               .weights = weights,
+               .resume = &restored});
+    EXPECT_EQ(resumed.status.code, full.status.code) << at;
+    EXPECT_EQ(resumed.result.iterations, full.result.iterations) << at;
+    EXPECT_EQ(resumed.result.value, full.result.value) << at;
+    EXPECT_EQ(resumed.result.lower_bound, full.result.lower_bound) << at;
+    EXPECT_EQ(resumed.result.upper_bound, full.result.upper_bound) << at;
+  }
+  EXPECT_GT(lp_exits, 0u) << tag;
+  EXPECT_GT(oracle_exits, 0u) << tag;
+}
+
+TEST(InnerCancelResume, DoubleOracleResumesExactlyFromEveryInnerCheck) {
+  sweep_inner_cancels(core::TupleGame(graph::petersen_graph(), 3, 1), {},
+                      "petersen k3");
+  sweep_inner_cancels(core::TupleGame(graph::cycle_graph(8), 2, 1), {},
+                      "C8 k2");
+}
+
+TEST(InnerCancelResume, WeightedDoubleOracleResumesExactlyFromEveryInnerCheck) {
+  for (const auto& [name, game] :
+       {std::pair{"petersen k3",
+                  core::TupleGame(graph::petersen_graph(), 3, 1)},
+        std::pair{"C8 k2", core::TupleGame(graph::cycle_graph(8), 2, 1)}}) {
+    std::vector<double> weights(game.graph().num_vertices());
+    for (std::size_t v = 0; v < weights.size(); ++v)
+      weights[v] = 1.0 + 0.25 * static_cast<double>(v % 4);
+    sweep_inner_cancels(game, weights, name);
+  }
 }
 
 // ---------------------------------------------------------------------------
