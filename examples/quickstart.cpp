@@ -6,7 +6,8 @@
 // analytic guarantees and a full Theorem 3.4 verification report.
 //
 // Usage: quickstart [k] [attackers]
-#include <cstdlib>
+#include <algorithm>
+#include <cstdint>
 #include <iostream>
 
 #include "core/atuple.hpp"
@@ -14,16 +15,49 @@
 #include "core/payoff.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "util/record.hpp"
+
+namespace {
+
+/// The cap defender_cli puts on its --k and --nu counts.
+constexpr std::uint64_t kMaxCountArg = 1'000'000'000;
+
+/// Reads positional argument `index` (default `fallback` when absent) as a
+/// count in [1, max]; false on anything else.
+bool read_count(int argc, char** argv, int index, std::size_t fallback,
+                std::uint64_t max, std::size_t* out) {
+  if (argc <= index) {
+    *out = fallback;
+    return true;
+  }
+  return defender::util::parse_count(argv[index], max, out) && *out >= 1;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace defender;
-  const std::size_t k = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 3;
-  const std::size_t nu = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 5;
-
   // A two-tier network: 3 aggregation switches fully meshed to 6 access
   // switches (K_{3,6}) — bipartite, so Theorem 5.1 guarantees a k-matching
   // NE exists and is computable in polynomial time.
   const graph::Graph g = graph::complete_bipartite(3, 6);
+
+  std::size_t k = 0;
+  std::size_t nu = 0;
+  const std::uint64_t max_k = std::min<std::uint64_t>(kMaxCountArg,
+                                                      g.num_edges());
+  if (!read_count(argc, argv, 1, 3, max_k, &k)) {
+    std::cerr << "quickstart: bad k argument '" << argv[1]
+              << "' (want a count from 1 to " << max_k << ")\n"
+              << "usage: quickstart [k] [attackers]\n";
+    return 2;
+  }
+  if (!read_count(argc, argv, 2, 5, kMaxCountArg, &nu)) {
+    std::cerr << "quickstart: bad attackers argument '" << argv[2]
+              << "' (want a count from 1 to " << kMaxCountArg << ")\n"
+              << "usage: quickstart [k] [attackers]\n";
+    return 2;
+  }
   std::cout << "Board: K_{3,6} with n=" << g.num_vertices()
             << " hosts, m=" << g.num_edges() << " links\n";
 

@@ -387,7 +387,14 @@ struct WorkerPool::Impl {
     }
     if (frame.format == kResultFormat) {
       Solved<ResultFrame> result = try_parse_result_frame(frame.payload);
-      if (!result.ok() || w.current == nullptr) return;
+      // A sealed frame that does not parse is as garbled as an unknown
+      // kind: kill the worker, and the crash path re-dispatches the job
+      // or quarantines it after max_job_crashes.
+      if (!result.ok()) {
+        kill_worker(w);
+        return;
+      }
+      if (w.current == nullptr) return;
       if (result.result.job_index != w.current->job_index ||
           result.result.dispatch != w.current->active_dispatch)
         return;

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Malformed numeric flag smoke for defender_cli and defender_serve.
+# Malformed numeric flag smoke for defender_cli, defender_serve and
+# quickstart (whose positional arguments are named in its messages).
 #
 #   bad_flag_smoke.sh <flag> <binary> [args...]
 #
