@@ -44,11 +44,10 @@ class CancelToken {
 
   /// True once cancellation was requested (or a countdown fired). Cheap
   /// enough for inner loops: two atomic loads while no read countdown is
-  /// armed.
+  /// armed; the armed path stays out of line so it adds no code there.
   bool cancelled() const {
-    if (read_countdown_.load(std::memory_order_acquire) != 0 &&
-        read_countdown_.fetch_sub(1, std::memory_order_acq_rel) == 1)
-      cancelled_.store(true, std::memory_order_release);
+    if (read_countdown_.load(std::memory_order_acquire) != 0) [[unlikely]]
+      return count_read();
     return latched();
   }
 
@@ -86,6 +85,14 @@ class CancelToken {
 
  private:
   bool latched() const { return cancelled_.load(std::memory_order_acquire); }
+
+  /// The armed read countdown: fires the latch on the read that takes it
+  /// to zero.
+  [[gnu::noinline, gnu::cold]] bool count_read() const {
+    if (read_countdown_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      cancelled_.store(true, std::memory_order_release);
+    return latched();
+  }
 
   // Mutable: a read countdown fires the latch from the const read site.
   mutable std::atomic<bool> cancelled_{false};
