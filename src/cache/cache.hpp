@@ -28,8 +28,8 @@
 //
 // Warm starts: a lookup that misses on (tolerance, budget) but matches
 // the structural key (board + weights + k + ν + solver) can fetch the
-// stored solver checkpoint via warm_checkpoint() and resume through the
-// *_resumable entry points instead of starting cold.
+// stored solver checkpoint via warm_checkpoint() and resume through
+// SolveOptions::resume instead of starting cold.
 //
 // The persistent text store ("defender-cache v1", docs/FORMATS.md) is
 // written and read through the shared record codec (util/record.hpp):

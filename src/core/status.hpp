@@ -41,8 +41,8 @@ enum class StatusCode {
   /// Malformed or hostile input was rejected before solving.
   kInvalidInput,
   /// A CancelToken was triggered mid-solve (engine watchdog, caller
-  /// cancellation). Best-so-far bounds, and — via the resumable entry
-  /// points — a checkpoint the solve can later resume from.
+  /// cancellation). Best-so-far bounds, and — via SolveOptions::capture —
+  /// a checkpoint the solve can later resume from.
   kCancelled,
   /// The serving layer refused to admit the request: the queue is at its
   /// high watermark or a per-client quota tripped. The rejection carries
@@ -193,8 +193,8 @@ struct Solved {
   bool ok() const { return status.ok(); }
   explicit operator bool() const { return ok(); }
 
-  /// The result when kOk; throws ContractViolation otherwise (legacy throwing
-  /// entry points funnel through this).
+  /// The result when kOk; throws ContractViolation otherwise (callers that
+  /// want an exception instead of a status use this).
   T& value_or_throw() & {
     if (!ok()) throw ContractViolation(status.describe());
     return result;

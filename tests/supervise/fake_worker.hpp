@@ -14,8 +14,4 @@ namespace defender::supervise::test {
 inline constexpr char kFakeWorkerEnv[] = "DEFENDER_TEST_FAKE_WORKER";
 inline constexpr char kBadResultWorker[] = "bad-result";
 
-/// No-op unless argv carries the worker sentinel and the environment asks
-/// for a fake worker; then runs it and never returns.
-void fake_worker_trampoline(int argc, char** argv);
-
 }  // namespace defender::supervise::test

@@ -22,7 +22,10 @@
 #include "supervise/worker.hpp"
 
 namespace defender::supervise::test {
+namespace {
 
+/// No-op unless argv carries the worker sentinel and the environment asks
+/// for a fake worker; then runs it and never returns.
 void fake_worker_trampoline(int argc, char** argv) {
   if (argc < 6 || std::strcmp(argv[1], kWorkerSentinel) != 0) return;
   const char* mode = std::getenv(kFakeWorkerEnv);
@@ -49,7 +52,7 @@ void fake_worker_trampoline(int argc, char** argv) {
       ++beat.sequence;
       send(kHeartbeatFormat, to_text(beat));
     }
-  }).detach();
+  }).detach();  // the process exits via _Exit; nothing to join
 
   FrameReader reader;
   char buf[65536];
@@ -64,6 +67,7 @@ void fake_worker_trampoline(int argc, char** argv) {
   }
 }
 
+}  // namespace
 }  // namespace defender::supervise::test
 
 int main(int argc, char** argv) {
