@@ -22,20 +22,7 @@ PerfectMatchingNe perfect_matching_ne_from(const TupleGame& game,
   PerfectMatchingNe ne;
   ne.matching.assign(m.edges().begin(), m.edges().end());
   std::sort(ne.matching.begin(), ne.matching.end());
-
-  const std::size_t e_num = ne.matching.size();
-  const std::size_t delta = lifted_support_size(e_num, game.k());
-  ne.tp_support.reserve(delta);
-  std::size_t current = 0;
-  for (std::size_t i = 0; i < delta; ++i) {
-    Tuple t;
-    t.reserve(game.k());
-    for (std::size_t j = 0; j < game.k(); ++j) {
-      t.push_back(ne.matching[current]);
-      current = (current + 1) % e_num;
-    }
-    ne.tp_support.push_back(make_tuple(game, std::move(t)));
-  }
+  ne.tp_support = cyclic_windows(game, ne.matching);
   return ne;
 }
 

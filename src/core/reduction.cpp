@@ -17,30 +17,40 @@ std::size_t lifted_support_size(std::size_t num_edges, std::size_t k) {
   return num_edges / util::gcd(num_edges, k);
 }
 
-KMatchingNe lift_to_k_matching(const TupleGame& game, const MatchingNe& ne) {
+std::vector<Tuple> cyclic_windows(const TupleGame& game,
+                                  std::span<const graph::EdgeId> edges) {
   const std::size_t k = game.k();
-  const std::size_t e_num = ne.tp_support.size();
-  DEF_REQUIRE(e_num >= 1, "the matching NE support must be nonempty");
-  DEF_REQUIRE(k <= e_num,
-              "the cyclic lift needs k <= |D(tp)| to keep tuple edges "
-              "distinct (DESIGN.md note on Lemma 4.8)");
-
-  KMatchingNe lifted;
-  lifted.vp_support = ne.vp_support;
+  const std::size_t e_num = edges.size();
+  DEF_REQUIRE(k <= e_num, "the cyclic windows need k <= |edges| distinct "
+                          "edges (DESIGN.md note on Lemma 4.8)");
   const std::size_t delta = lifted_support_size(e_num, k);
-  lifted.tp_support.reserve(delta);
+  std::vector<Tuple> windows;
+  windows.reserve(delta);
   std::size_t current = 0;
   for (std::size_t i = 0; i < delta; ++i) {
     Tuple t;
     t.reserve(k);
     for (std::size_t j = 0; j < k; ++j) {
-      t.push_back(ne.tp_support[current]);
+      t.push_back(edges[current]);
       current = (current + 1) % e_num;
     }
-    lifted.tp_support.push_back(make_tuple(game, std::move(t)));
+    windows.push_back(make_tuple(game, std::move(t)));
   }
   DEF_ENSURE(current == 0,
              "the cyclic construction must end at the first edge (Lemma 4.8)");
+  return windows;
+}
+
+KMatchingNe lift_to_k_matching(const TupleGame& game, const MatchingNe& ne) {
+  DEF_REQUIRE(!ne.tp_support.empty(),
+              "the matching NE support must be nonempty");
+  DEF_REQUIRE(game.k() <= ne.tp_support.size(),
+              "the cyclic lift needs k <= |D(tp)| to keep tuple edges "
+              "distinct (DESIGN.md note on Lemma 4.8)");
+
+  KMatchingNe lifted;
+  lifted.vp_support = ne.vp_support;
+  lifted.tp_support = cyclic_windows(game, ne.tp_support);
   DEF_ENSURE(is_k_matching_configuration(game, lifted.vp_support,
                                          lifted.tp_support),
              "the lift must produce a k-matching configuration");

@@ -21,6 +21,10 @@
 // (Theorem 3.1 territory: k >= n/2 covers every vertex).
 #pragma once
 
+#include <span>
+#include <vector>
+
+#include "core/configuration.hpp"
 #include "core/game.hpp"
 #include "core/k_matching.hpp"
 #include "core/matching_ne.hpp"
@@ -41,5 +45,14 @@ std::size_t lifted_tuples_per_edge(std::size_t num_edges, std::size_t k);
 
 /// The lifted support size δ = E / gcd(E, k).
 std::size_t lifted_support_size(std::size_t num_edges, std::size_t k);
+
+/// Lemma 4.8's cyclic windows over `edges` (E = |edges|, k = game.k()):
+/// the δ = E / gcd(E, k) tuples t_i = <e_{ik mod E}, ..., e_{(ik+k-1) mod E}>
+/// for i = 0..δ-1, each normalized. Every edge lies in exactly
+/// k / gcd(E, k) of them (Claim 4.9), so uniform play over the windows
+/// covers each edge with probability k/E. Requires 1 <= k <= E and
+/// distinct edge ids.
+std::vector<Tuple> cyclic_windows(const TupleGame& game,
+                                  std::span<const graph::EdgeId> edges);
 
 }  // namespace defender::core

@@ -55,6 +55,7 @@
 #include "core/expander_partition.hpp"   // IWYU pragma: export
 #include "core/game.hpp"                 // IWYU pragma: export
 #include "core/k_matching.hpp"           // IWYU pragma: export
+#include "core/matching_bracket.hpp"     // IWYU pragma: export
 #include "core/matching_ne.hpp"          // IWYU pragma: export
 #include "core/path_model.hpp"           // IWYU pragma: export
 #include "core/payoff.hpp"               // IWYU pragma: export

@@ -14,6 +14,7 @@
 #include "core/cancel.hpp"
 #include "core/checkpoint.hpp"
 #include "core/double_oracle.hpp"
+#include "core/matching_bracket.hpp"
 #include "core/zero_sum.hpp"
 #include "sim/fictitious_play.hpp"
 #include "sim/multiplicative_weights.hpp"
@@ -168,6 +169,28 @@ AttemptOutput run_attempt(const SolveJob& job, JobSolver solver,
       out.lower = 0;
     }
   };
+
+  // Closed-form route: when the two-matching bracket closes, its mixes are
+  // an exact equilibrium and the attempt needs no search. Only the exact
+  // hit-game solvers take it (both are unweighted, validate_job); the
+  // learning dynamics report trajectories, and an armed fault plan's sites
+  // live inside the solvers, so those attempts run as before. The route
+  // leaves no checkpoint, so a later rung or a resume starts afresh.
+  if ((solver == JobSolver::kDoubleOracle ||
+       solver == JobSolver::kZeroSumLp) &&
+      fault == nullptr) {
+    const obs::Clock::Micros start_us = obs::Clock::now_micros();
+    const core::MatchingBracket bracket = core::matching_bracket(job.game);
+    if (bracket.closed) {
+      out.status =
+          Status::make_ok(0, 0.0, obs::Clock::seconds_since(start_us));
+      out.value = out.lower = out.upper = bracket.lower;
+      capture_mixes(bracket.defender, bracket.attacker);
+      if (obs != nullptr && obs->metrics != nullptr)
+        obs->metrics->counter("route.closed_form").add(1);
+      return out;
+    }
+  }
 
   switch (solver) {
     case JobSolver::kDoubleOracle:

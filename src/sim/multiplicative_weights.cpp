@@ -207,7 +207,7 @@ Solved<HedgeResult> hedge_dynamics(const core::TupleGame& game,
 
     // Defender best-responds to the current mix.
     const core::BestTupleSearch br = core::best_tuple_branch_and_bound_budgeted(
-        game, strategy, budget.oracle_node_budget, obs);
+        game, strategy, budget.oracle_node_budget, obs, fault);
     truncated_any = truncated_any || br.truncated;
     std::vector<char> covered(n, 0);
     for (graph::Vertex v : core::tuple_vertices(g, br.best.tuple)) {

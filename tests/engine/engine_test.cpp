@@ -12,11 +12,13 @@
 #include "core/budget.hpp"
 #include "core/double_oracle.hpp"
 #include "core/game.hpp"
+#include "core/matching_bracket.hpp"
 #include "core/zero_sum.hpp"
 #include "engine/job.hpp"
 #include "engine/retry.hpp"
 #include "fault/fault.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
 
 namespace defender::engine {
 namespace {
@@ -81,12 +83,17 @@ TEST(SolveEngine, RetryResumeReachesTheUninterruptedAnswer) {
   // One iteration per attempt exhausts immediately; the ladder resumes
   // from the checkpoint with a grown budget until the gap closes. The
   // resumed trajectory must match the unconstrained solve bit-for-bit.
-  const core::TupleGame game = petersen_game();
+  // C7 k2 is open under the matching bracket, so every attempt runs DO.
+  const core::TupleGame game(graph::cycle_graph(7), 2, 1);
+  ASSERT_FALSE(core::matching_bracket(game).closed);
   const auto direct = core::solve_double_oracle(
       game, {.budget = SolveBudget::iterations(400)});
   ASSERT_EQ(direct.status.code, StatusCode::kOk);
 
-  SolveJob job = make_job(JobSolver::kDoubleOracle, 1);
+  SolveJob job{game};
+  job.solver = JobSolver::kDoubleOracle;
+  job.tolerance = 1e-9;
+  job.budget = SolveBudget::iterations(1);
   EngineConfig config;
   config.retry.max_attempts = 6;
   config.retry.budget_growth = 4.0;
@@ -102,6 +109,64 @@ TEST(SolveEngine, RetryResumeReachesTheUninterruptedAnswer) {
   EXPECT_EQ(r.value, direct.result.value);
   EXPECT_EQ(r.lower_bound, direct.result.lower_bound);
   EXPECT_EQ(r.upper_bound, direct.result.upper_bound);
+}
+
+TEST(SolveEngine, ClosedBoardAnswersInClosedFormWithoutSearch) {
+  // Petersen has a perfect matching, so the matching bracket closes at
+  // 2k/n and both exact solvers answer from it: one kOk attempt, no
+  // iterations, value = lower = upper, bit for bit.
+  const core::MatchingBracket bracket =
+      core::matching_bracket(petersen_game());
+  ASSERT_TRUE(bracket.closed);
+  for (JobSolver solver : {JobSolver::kDoubleOracle, JobSolver::kZeroSumLp}) {
+    obs::MetricsRegistry metrics;
+    EngineConfig config;
+    config.metrics = &metrics;
+    SolveEngine engine(config);
+    const JobResult r = engine.run_serial(make_job(solver), 0);
+    EXPECT_EQ(r.status.code, StatusCode::kOk) << to_string(solver);
+    ASSERT_EQ(r.attempts.size(), 1u);
+    EXPECT_EQ(r.attempts[0].outcome, StatusCode::kOk);
+    EXPECT_EQ(r.attempts[0].iterations, 0u);
+    EXPECT_EQ(r.iterations, 0u);
+    EXPECT_EQ(r.value, bracket.lower);
+    EXPECT_EQ(r.lower_bound, bracket.lower);
+    EXPECT_EQ(r.upper_bound, bracket.lower);
+    EXPECT_EQ(metrics.counter("route.closed_form").value(), 1u);
+  }
+}
+
+TEST(SolveEngine, ArmedFaultPlanStillRunsDoubleOracle) {
+  // The fault sites live inside the solvers, so a faulted job skips the
+  // closed-form route even on a closed board.
+  SolveJob job = make_job(JobSolver::kDoubleOracle);
+  job.fault_plan.seed = 3;
+  job.fault_plan.rate_of(fault::FaultSite::kMassPerturb) = 1.0;
+  obs::MetricsRegistry metrics;
+  EngineConfig config;
+  config.metrics = &metrics;
+  SolveEngine engine(config);
+  const JobResult r = engine.run_serial(job, 0);
+  EXPECT_EQ(r.status.code, StatusCode::kOk) << r.status.to_string();
+  EXPECT_GT(r.iterations, 0u);
+  EXPECT_GT(r.faults_injected, 0u);
+  EXPECT_EQ(metrics.counter("route.closed_form").value(), 0u);
+}
+
+TEST(SolveEngine, OddCycleStaysOpenAndRunsDoubleOracle) {
+  const core::TupleGame game(graph::cycle_graph(7), 2, 1);
+  ASSERT_FALSE(core::matching_bracket(game).closed);
+  SolveJob job{game};
+  job.solver = JobSolver::kDoubleOracle;
+  job.budget = SolveBudget::iterations(400);
+  obs::MetricsRegistry metrics;
+  EngineConfig config;
+  config.metrics = &metrics;
+  SolveEngine engine(config);
+  const JobResult r = engine.run_serial(job, 0);
+  EXPECT_EQ(r.status.code, StatusCode::kOk) << r.status.to_string();
+  EXPECT_GT(r.iterations, 0u);
+  EXPECT_EQ(metrics.counter("route.closed_form").value(), 0u);
 }
 
 TEST(SolveEngine, UnstableLpFallsBackToDoubleOracle) {

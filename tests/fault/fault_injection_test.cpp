@@ -29,6 +29,7 @@
 #include "core/double_oracle.hpp"
 #include "core/game.hpp"
 #include "core/status.hpp"
+#include "core/zero_sum.hpp"
 #include "fault/fault.hpp"
 #include "graph/generators.hpp"
 #include "lp/simplex.hpp"
@@ -562,6 +563,30 @@ TEST(OracleFaults, ForcedTruncationKeepsTheCompletionBoundSound) {
   EXPECT_LE(r.best.mass, fx.exact.mass + 1e-12);
   EXPECT_GE(r.upper_bound, fx.exact.mass - 1e-12);
   EXPECT_LE(r.best.mass, r.upper_bound + 1e-12);
+}
+
+TEST(OracleFaults, HedgeRoundOracleSeesTheFaultPlan) {
+  // Hedge's per-round best response takes the fault context, not only its
+  // checkpoint bound: forced truncation at rate 1 fires on every round and
+  // at every checkpoint. Both ends of the bracket are recertified, so it
+  // still contains the LP value.
+  const core::TupleGame game(graph::petersen_graph(), 3, 1);
+  const double lp_value =
+      core::solve_zero_sum(game, {.budget = SolveBudget::iterations(20'000)})
+          .result.value;
+  fault::FaultPlan plan;
+  plan.seed = 31;
+  plan.rate_of(fault::FaultSite::kOracleTruncate) = 1.0;
+  fault::FaultContext ctx(plan);
+  const auto solved = sim::hedge_dynamics(
+      game, 200,
+      {.budget = SolveBudget::iterations(200), .tolerance = 0, .fault = &ctx});
+  ASSERT_EQ(solved.result.rounds, 200u);
+  EXPECT_EQ(ctx.injected(fault::FaultSite::kOracleTruncate),
+            solved.result.rounds + solved.result.trace.size());
+  const sim::HedgeTrace& last = solved.result.trace.back();
+  EXPECT_LE(last.lower, lp_value + 1e-9);
+  EXPECT_GE(last.upper, lp_value - 1e-9);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 
 #include "core/cancel.hpp"
 #include "core/checkpoint.hpp"
+#include "core/matching_bracket.hpp"
 #include "engine/engine.hpp"
 #include "engine/retry.hpp"
 #include "serve/protocol.hpp"
@@ -350,7 +351,9 @@ TEST(DrainResume, LpJobsRejectResumeAndNeverCapture) {
   config.retry = engine::RetryPolicy::none();
   const engine::SolveEngine engine(config);
   const Request lp =
-      cycle_request("c", "r", 6, engine::JobSolver::kZeroSumLp, 2000);
+      cycle_request("c", "r", 7, engine::JobSolver::kZeroSumLp, 2000);
+  // C7 k2 is open under the matching bracket, so the job reaches the LP.
+  ASSERT_FALSE(core::matching_bracket(build_job(lp).game).closed);
 
   // A cancelled LP job must not claim a capturable checkpoint.
   CancelToken cancel;
@@ -390,9 +393,11 @@ TEST(DrainService, DrainPlusResumeMatchesUninterruptedAtTwoWorkerCounts) {
         i % 2 == 0
             ? cycle_request("alice", id, 10,
                             engine::JobSolver::kFictitiousPlay, 2500, 1e-15)
-            : cycle_request("bob", id, 8, engine::JobSolver::kDoubleOracle,
+            : cycle_request("bob", id, 9, engine::JobSolver::kDoubleOracle,
                             300));
   }
+  // C9 k2 is open under the matching bracket, so the DO jobs reach DO.
+  ASSERT_FALSE(core::matching_bracket(build_job(requests[1]).game).closed);
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
     ServiceConfig config;

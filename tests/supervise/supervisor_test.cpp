@@ -11,6 +11,7 @@
 
 #include "core/cancel.hpp"
 #include "core/game.hpp"
+#include "core/matching_bracket.hpp"
 #include "engine/engine.hpp"
 #include "engine/job.hpp"
 #include "graph/generators.hpp"
@@ -114,6 +115,28 @@ TEST(WorkerPool, RunOneMatchesEngineRunOne) {
   WorkerPool pool(config);
   const engine::JobResult got =
       pool.run_one(job, 17, engine::JobRunHooks{});
+  expect_identical(got, truth);
+}
+
+TEST(WorkerPool, ClosedBoardAnswersInClosedFormInTheWorker) {
+  // Petersen k3 closes under the matching bracket; the worker's private
+  // engine takes the same route as the in-process one.
+  const engine::SolveJob job = make_job(engine::JobSolver::kDoubleOracle);
+  ASSERT_TRUE(core::matching_bracket(job.game).closed);
+
+  engine::SolveEngine eng(engine::EngineConfig{});
+  const engine::JobResult truth =
+      eng.run_one(job, 3, engine::JobRunHooks{});
+
+  PoolConfig config;
+  config.workers = 1;
+  WorkerPool pool(config);
+  const engine::JobResult got = pool.run_one(job, 3, engine::JobRunHooks{});
+  EXPECT_EQ(got.status.code, StatusCode::kOk) << got.status.to_string();
+  ASSERT_EQ(got.attempts.size(), 1u);
+  EXPECT_EQ(got.iterations, 0u);
+  EXPECT_EQ(got.lower_bound, got.value);
+  EXPECT_EQ(got.upper_bound, got.value);
   expect_identical(got, truth);
 }
 
