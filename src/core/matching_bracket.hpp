@@ -14,11 +14,19 @@
 //     every edge of G, so x_v = 1 − c_v is a half-integral vertex packing
 //     of total n − ν_f. Normalized, it is an attacker mix of which any k
 //     edges catch at most k/(n − ν_f).
-// The bracket is closed (both bounds equal k/ρ, both mixes optimal) when
-// k >= ρ or |M(G × K2)| = 2ν, a test on integers. It closes on every
-// bipartite board (Theorem 5.1), every board with a perfect matching (2k/n)
-// and every board with k >= ρ (Theorem 3.1). docs/THEORY.md §8 has the
-// proofs.
+// The bracket is closed (both mixes optimal) in three cases, each a test on
+// integers:
+//   * k >= ρ or |M(G × K2)| = 2ν: the value is k/ρ (or 1). This holds on
+//     every bipartite board (Theorem 5.1), every board with a perfect
+//     matching (2k/n) and every board with k >= ρ (Theorem 3.1).
+//   * 3k <= N = 2n − |M(G × K2)|: the value is k/(n − ν_f). The matching
+//     of G × K2 read as σ: v ↦ u (vu′ matched) splits into full edges and
+//     odd cycles of half edges; laid out as N slots (two per full edge, one
+//     per half edge, zig-zag around each odd cycle), the rotations of k
+//     slots spaced ⌊N/k⌋ or ⌈N/k⌉ apart hold k distinct edges and cover
+//     every vertex in at least 2k of N, so uniform play over them reaches
+//     the upper bound.
+// docs/THEORY.md §8 has the proofs.
 #pragma once
 
 #include "core/configuration.hpp"
@@ -28,7 +36,8 @@ namespace defender::core {
 
 /// The two-matching bracket on the value of Π_k(G) and its certificates.
 struct MatchingBracket {
-  /// min(1, k/ρ): `defender` hits every vertex at least this often.
+  /// `defender` hits every vertex at least this often: min(1, k/ρ), or
+  /// k/(n − ν_f) when the half-integral windows close the bracket.
   double lower = 0;
   /// min(1, k/(n − ν_f)): no k-tuple catches more of `attacker`. Equal to
   /// `lower`, bit for bit, when `closed`.
@@ -36,8 +45,9 @@ struct MatchingBracket {
   /// True when the bracket pins the game value: it is then `lower`, and
   /// both mixes are optimal.
   bool closed = false;
-  /// Uniform over the cyclic windows of a minimum edge cover, or the pure
-  /// padded edge cover when k >= ρ.
+  /// The pure padded edge cover when k >= ρ; the half-integral windows
+  /// (probabilities multiples of 1 / N) when they close the bracket;
+  /// otherwise uniform over the cyclic windows of a minimum edge cover.
   TupleDistribution defender;
   /// The normalized half-integral vertex packing; probabilities are
   /// multiples of 1 / (2n − |M(G × K2)|).

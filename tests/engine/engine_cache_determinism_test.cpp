@@ -171,15 +171,15 @@ TEST(EngineCacheDeterminism, ArmedFaultJobsNeverPopulateTheCache) {
 
 TEST(EngineCacheDeterminism, WarmStartResumesFromStructuralTwin) {
   const graph::Graph g = graph::cycle_graph(9);
-  // C9 k2 is open under the matching bracket, so both passes run DO.
-  ASSERT_FALSE(core::matching_bracket(core::TupleGame(g, 2, 1)).closed);
+  // C9 k4 is open under the matching bracket, so both passes run DO.
+  ASSERT_FALSE(core::matching_bracket(core::TupleGame(g, 4, 1)).closed);
 
   // Pass 1: a loose-tolerance solve populates the cache (with checkpoint).
   cache::SolveCache cache;
   {
     EngineConfig config;
     config.cache = &cache;
-    SolveJob loose{core::TupleGame(g, 2, 1)};
+    SolveJob loose{core::TupleGame(g, 4, 1)};
     loose.solver = JobSolver::kDoubleOracle;
     loose.tolerance = 1e-2;
     loose.budget = SolveBudget::iterations(200);
@@ -195,7 +195,7 @@ TEST(EngineCacheDeterminism, WarmStartResumesFromStructuralTwin) {
   config.cache = &cache;
   config.cache_warm_start = true;
   config.metrics = &metrics;
-  SolveJob tight{core::TupleGame(g, 2, 1)};
+  SolveJob tight{core::TupleGame(g, 4, 1)};
   tight.solver = JobSolver::kDoubleOracle;
   tight.tolerance = 1e-9;
   tight.budget = SolveBudget::iterations(200);
@@ -218,37 +218,42 @@ TEST(EngineCacheDeterminism, WarmStartResumesFromStructuralTwin) {
 }
 
 TEST(EngineCacheDeterminism, ClosedBoardHitsWithoutCheckpoint) {
-  // Grid 3×3 is bipartite, so the matching bracket closes and the solve
-  // never searches. Its entry carries both mixes but no checkpoint, so a
-  // warm start never resumes from it, and the hit replays the closed-form
-  // answer: one kOk attempt with 0 iterations.
-  SolveJob job{core::TupleGame(graph::grid_graph(3, 3), 2, 1)};
-  ASSERT_TRUE(core::matching_bracket(job.game).closed);
-  job.solver = JobSolver::kDoubleOracle;
-  job.budget = SolveBudget::iterations(200);
-  cache::SolveCache cache;
-  EngineConfig config;
-  config.cache = &cache;
-  const BatchReport cold = SolveEngine(config).run({job});
-  const BatchReport hit = SolveEngine(config).run({job});
-  EXPECT_EQ(cache.stats().stores, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  for (const BatchReport* report : {&cold, &hit}) {
-    const JobResult& r = report->results.at(0);
-    EXPECT_EQ(r.status.code, StatusCode::kOk) << r.status.to_string();
-    ASSERT_EQ(r.attempts.size(), 1u);
-    EXPECT_EQ(r.iterations, 0u);
-    EXPECT_EQ(r.lower_bound, r.value);
-    EXPECT_EQ(r.upper_bound, r.value);
-  }
-  EXPECT_EQ(hit.results.at(0).to_json(), cold.results.at(0).to_json());
+  // Grid 3×3 is bipartite and C7 k2 fits the half-integral windows, so the
+  // matching bracket closes and the solve never searches. Its entry
+  // carries both mixes but no checkpoint, so a warm start never resumes
+  // from it, and the hit replays the closed-form answer: one kOk attempt
+  // with 0 iterations.
+  for (const core::TupleGame& game :
+       {core::TupleGame(graph::grid_graph(3, 3), 2, 1),
+        core::TupleGame(graph::cycle_graph(7), 2, 1)}) {
+    SolveJob job{game};
+    ASSERT_TRUE(core::matching_bracket(job.game).closed);
+    job.solver = JobSolver::kDoubleOracle;
+    job.budget = SolveBudget::iterations(200);
+    cache::SolveCache cache;
+    EngineConfig config;
+    config.cache = &cache;
+    const BatchReport cold = SolveEngine(config).run({job});
+    const BatchReport hit = SolveEngine(config).run({job});
+    EXPECT_EQ(cache.stats().stores, 1u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    for (const BatchReport* report : {&cold, &hit}) {
+      const JobResult& r = report->results.at(0);
+      EXPECT_EQ(r.status.code, StatusCode::kOk) << r.status.to_string();
+      ASSERT_EQ(r.attempts.size(), 1u);
+      EXPECT_EQ(r.iterations, 0u);
+      EXPECT_EQ(r.lower_bound, r.value);
+      EXPECT_EQ(r.upper_bound, r.value);
+    }
+    EXPECT_EQ(hit.results.at(0).to_json(), cold.results.at(0).to_json());
 
-  const CanonicalJobKey key = canonical_key_for_job(job);
-  const std::optional<cache::CachedSolve> entry = cache.lookup(key.key);
-  ASSERT_TRUE(entry.has_value());
-  EXPECT_TRUE(entry->has_profiles);
-  EXPECT_TRUE(entry->checkpoint_text.empty());
-  EXPECT_FALSE(cache.warm_checkpoint(key.key).has_value());
+    const CanonicalJobKey key = canonical_key_for_job(job);
+    const std::optional<cache::CachedSolve> entry = cache.lookup(key.key);
+    ASSERT_TRUE(entry.has_value());
+    EXPECT_TRUE(entry->has_profiles);
+    EXPECT_TRUE(entry->checkpoint_text.empty());
+    EXPECT_FALSE(cache.warm_checkpoint(key.key).has_value());
+  }
 }
 
 TEST(EngineCacheDeterminism, ConvergenceCollectionBypassesTheCache) {
@@ -256,8 +261,8 @@ TEST(EngineCacheDeterminism, ConvergenceCollectionBypassesTheCache) {
   EngineConfig config;
   config.cache = &cache;
   config.collect_convergence = true;
-  SolveJob job{core::TupleGame(graph::cycle_graph(7), 2, 1)};
-  // C7 k2 is open under the matching bracket, so the job runs DO.
+  SolveJob job{core::TupleGame(graph::cycle_graph(7), 3, 1)};
+  // C7 k3 is open under the matching bracket, so the job runs DO.
   ASSERT_FALSE(core::matching_bracket(job.game).closed);
   job.solver = JobSolver::kDoubleOracle;
   job.budget = SolveBudget::iterations(60);

@@ -83,8 +83,8 @@ TEST(SolveEngine, RetryResumeReachesTheUninterruptedAnswer) {
   // One iteration per attempt exhausts immediately; the ladder resumes
   // from the checkpoint with a grown budget until the gap closes. The
   // resumed trajectory must match the unconstrained solve bit-for-bit.
-  // C7 k2 is open under the matching bracket, so every attempt runs DO.
-  const core::TupleGame game(graph::cycle_graph(7), 2, 1);
+  // C7 k3 is open under the matching bracket, so every attempt runs DO.
+  const core::TupleGame game(graph::cycle_graph(7), 3, 1);
   ASSERT_FALSE(core::matching_bracket(game).closed);
   const auto direct = core::solve_double_oracle(
       game, {.budget = SolveBudget::iterations(400)});
@@ -113,26 +113,32 @@ TEST(SolveEngine, RetryResumeReachesTheUninterruptedAnswer) {
 
 TEST(SolveEngine, ClosedBoardAnswersInClosedFormWithoutSearch) {
   // Petersen has a perfect matching, so the matching bracket closes at
-  // 2k/n and both exact solvers answer from it: one kOk attempt, no
-  // iterations, value = lower = upper, bit for bit.
-  const core::MatchingBracket bracket =
-      core::matching_bracket(petersen_game());
-  ASSERT_TRUE(bracket.closed);
-  for (JobSolver solver : {JobSolver::kDoubleOracle, JobSolver::kZeroSumLp}) {
-    obs::MetricsRegistry metrics;
-    EngineConfig config;
-    config.metrics = &metrics;
-    SolveEngine engine(config);
-    const JobResult r = engine.run_serial(make_job(solver), 0);
-    EXPECT_EQ(r.status.code, StatusCode::kOk) << to_string(solver);
-    ASSERT_EQ(r.attempts.size(), 1u);
-    EXPECT_EQ(r.attempts[0].outcome, StatusCode::kOk);
-    EXPECT_EQ(r.attempts[0].iterations, 0u);
-    EXPECT_EQ(r.iterations, 0u);
-    EXPECT_EQ(r.value, bracket.lower);
-    EXPECT_EQ(r.lower_bound, bracket.lower);
-    EXPECT_EQ(r.upper_bound, bracket.lower);
-    EXPECT_EQ(metrics.counter("route.closed_form").value(), 1u);
+  // 2k/n; C7 k2 closes on the half-integral windows at 2k/N = 4/7. Both
+  // exact solvers answer from it: one kOk attempt, no iterations, value =
+  // lower = upper, bit for bit.
+  for (const core::TupleGame& game :
+       {petersen_game(), core::TupleGame(graph::cycle_graph(7), 2, 1)}) {
+    const core::MatchingBracket bracket = core::matching_bracket(game);
+    ASSERT_TRUE(bracket.closed);
+    for (JobSolver solver :
+         {JobSolver::kDoubleOracle, JobSolver::kZeroSumLp}) {
+      obs::MetricsRegistry metrics;
+      EngineConfig config;
+      config.metrics = &metrics;
+      SolveEngine engine(config);
+      SolveJob job = make_job(solver);
+      job.game = game;
+      const JobResult r = engine.run_serial(job, 0);
+      EXPECT_EQ(r.status.code, StatusCode::kOk) << to_string(solver);
+      ASSERT_EQ(r.attempts.size(), 1u);
+      EXPECT_EQ(r.attempts[0].outcome, StatusCode::kOk);
+      EXPECT_EQ(r.attempts[0].iterations, 0u);
+      EXPECT_EQ(r.iterations, 0u);
+      EXPECT_EQ(r.value, bracket.lower);
+      EXPECT_EQ(r.lower_bound, bracket.lower);
+      EXPECT_EQ(r.upper_bound, bracket.lower);
+      EXPECT_EQ(metrics.counter("route.closed_form").value(), 1u);
+    }
   }
 }
 
@@ -154,7 +160,7 @@ TEST(SolveEngine, ArmedFaultPlanStillRunsDoubleOracle) {
 }
 
 TEST(SolveEngine, OddCycleStaysOpenAndRunsDoubleOracle) {
-  const core::TupleGame game(graph::cycle_graph(7), 2, 1);
+  const core::TupleGame game(graph::cycle_graph(7), 3, 1);
   ASSERT_FALSE(core::matching_bracket(game).closed);
   SolveJob job{game};
   job.solver = JobSolver::kDoubleOracle;

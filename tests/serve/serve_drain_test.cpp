@@ -350,9 +350,9 @@ TEST(DrainResume, LpJobsRejectResumeAndNeverCapture) {
   engine::EngineConfig config;
   config.retry = engine::RetryPolicy::none();
   const engine::SolveEngine engine(config);
-  const Request lp =
-      cycle_request("c", "r", 7, engine::JobSolver::kZeroSumLp, 2000);
-  // C7 k2 is open under the matching bracket, so the job reaches the LP.
+  Request lp = cycle_request("c", "r", 7, engine::JobSolver::kZeroSumLp, 2000);
+  lp.k = 3;
+  // C7 k3 is open under the matching bracket, so the job reaches the LP.
   ASSERT_FALSE(core::matching_bracket(build_job(lp).game).closed);
 
   // A cancelled LP job must not claim a capturable checkpoint.
@@ -395,8 +395,9 @@ TEST(DrainService, DrainPlusResumeMatchesUninterruptedAtTwoWorkerCounts) {
                             engine::JobSolver::kFictitiousPlay, 2500, 1e-15)
             : cycle_request("bob", id, 9, engine::JobSolver::kDoubleOracle,
                             300));
+    if (i % 2 == 1) requests.back().k = 4;
   }
-  // C9 k2 is open under the matching bracket, so the DO jobs reach DO.
+  // C9 k4 is open under the matching bracket, so the DO jobs reach DO.
   ASSERT_FALSE(core::matching_bracket(build_job(requests[1]).game).closed);
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {

@@ -119,25 +119,32 @@ TEST(WorkerPool, RunOneMatchesEngineRunOne) {
 }
 
 TEST(WorkerPool, ClosedBoardAnswersInClosedFormInTheWorker) {
-  // Petersen k3 closes under the matching bracket; the worker's private
-  // engine takes the same route as the in-process one.
-  const engine::SolveJob job = make_job(engine::JobSolver::kDoubleOracle);
-  ASSERT_TRUE(core::matching_bracket(job.game).closed);
-
-  engine::SolveEngine eng(engine::EngineConfig{});
-  const engine::JobResult truth =
-      eng.run_one(job, 3, engine::JobRunHooks{});
-
+  // Petersen k3 closes on its perfect matching and C7 k2 on the
+  // half-integral windows; the worker's private engine takes the same
+  // route as the in-process one.
   PoolConfig config;
   config.workers = 1;
   WorkerPool pool(config);
-  const engine::JobResult got = pool.run_one(job, 3, engine::JobRunHooks{});
-  EXPECT_EQ(got.status.code, StatusCode::kOk) << got.status.to_string();
-  ASSERT_EQ(got.attempts.size(), 1u);
-  EXPECT_EQ(got.iterations, 0u);
-  EXPECT_EQ(got.lower_bound, got.value);
-  EXPECT_EQ(got.upper_bound, got.value);
-  expect_identical(got, truth);
+  for (const core::TupleGame& game :
+       {core::TupleGame(graph::petersen_graph(), 3, 1),
+        core::TupleGame(graph::cycle_graph(7), 2, 1)}) {
+    engine::SolveJob job = make_job(engine::JobSolver::kDoubleOracle);
+    job.game = game;
+    ASSERT_TRUE(core::matching_bracket(job.game).closed);
+
+    engine::SolveEngine eng(engine::EngineConfig{});
+    const engine::JobResult truth =
+        eng.run_one(job, 3, engine::JobRunHooks{});
+
+    const engine::JobResult got =
+        pool.run_one(job, 3, engine::JobRunHooks{});
+    EXPECT_EQ(got.status.code, StatusCode::kOk) << got.status.to_string();
+    ASSERT_EQ(got.attempts.size(), 1u);
+    EXPECT_EQ(got.iterations, 0u);
+    EXPECT_EQ(got.lower_bound, got.value);
+    EXPECT_EQ(got.upper_bound, got.value);
+    expect_identical(got, truth);
+  }
 }
 
 TEST(WorkerPool, RunOnePropagatesExternalCancel) {
