@@ -1,7 +1,7 @@
 #include "core/matching_bracket.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -103,8 +103,10 @@ TupleDistribution half_integral_windows(const TupleGame& game,
   const std::size_t repeats = util::gcd(slot_count, k);
   const std::size_t period = slot_count / repeats;
 
-  std::vector<Tuple> rotations;
-  rotations.reserve(period);
+  // Identical rotations merge into the first one's support position.
+  std::map<Tuple, std::size_t> position;
+  std::vector<Tuple> support;
+  std::vector<std::size_t> count;
   std::vector<std::size_t> covering(g.num_vertices(), 0);
   std::vector<std::size_t> stamp(g.num_vertices(), period);
   for (std::size_t r = 0; r < period; ++r) {
@@ -119,34 +121,22 @@ TupleDistribution half_integral_windows(const TupleGame& game,
         ++covering[v];
       }
     }
-    rotations.push_back(make_tuple(game, std::move(t)));
+    t = make_tuple(game, std::move(t));
+    const auto [it, fresh] = position.try_emplace(t, support.size());
+    if (fresh) {
+      support.push_back(std::move(t));
+      count.push_back(0);
+    }
+    count[it->second] += repeats;
   }
   for (std::size_t c : covering)
     DEF_ENSURE(c * repeats >= 2 * k,
                "every vertex is covered by at least 2k of the N rotations");
 
-  // Merge identical rotations, keeping the first one's position.
-  std::vector<std::size_t> order(period);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
-                                                   std::size_t b) {
-    return rotations[a] < rotations[b];
-  });
-  std::vector<std::size_t> count(period, 0);
-  std::size_t head = 0;
-  for (std::size_t i = 0; i < period; ++i) {
-    if (i == 0 || rotations[order[i]] != rotations[order[i - 1]])
-      head = order[i];
-    count[head] += repeats;
-  }
-  std::vector<Tuple> support;
   std::vector<double> probs;
-  for (std::size_t r = 0; r < period; ++r) {
-    if (count[r] == 0) continue;
-    support.push_back(std::move(rotations[r]));
-    probs.push_back(static_cast<double>(count[r]) /
-                    static_cast<double>(slot_count));
-  }
+  probs.reserve(count.size());
+  for (std::size_t c : count)
+    probs.push_back(static_cast<double>(c) / static_cast<double>(slot_count));
   return TupleDistribution(std::move(support), std::move(probs));
 }
 

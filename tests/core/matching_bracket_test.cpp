@@ -206,7 +206,8 @@ std::size_t check_every_k(const graph::Graph& g, const std::string& label) {
 
 TEST(MatchingBracket, HalfIntegralWindowsCloseExactlyWhenThreeKFitsTheSlots) {
   // Odd cycles: ρ = (n + 1)/2 and N = n, so the windows close every k <= n/3
-  // and the pairs n/3 < k < ρ stay open.
+  // (80 pairs over C3–C31) and the pairs n/3 < k < ρ stay open. The sparse
+  // random and BA(n, 2) boards add 175 pairs only the windows close.
   std::size_t windows_only = 0;
   for (std::size_t n = 3; n <= 31; n += 2) {
     std::string label = "C";
