@@ -15,8 +15,8 @@ end-to-end metric against the bounds in BENCHMARK.json:
               every change run beats every parent run;
   no regression  otherwise.
 
-Example:
-  python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr 42 \\
+Example, writing BENCH_N.json:
+  python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr N \\
       --workload solve-heavy --pairs 10 --seed 901 --workdir /tmp/pairs
 """
 
