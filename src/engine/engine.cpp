@@ -123,16 +123,14 @@ struct AttemptOutput {
 
 /// Runs one attempt on `solver` with the job's weights and the given budget.
 /// `hedge_horizon` is the job's original round horizon (fixed across
-/// attempts even as the segment budget grows). `bracket` is the job's
-/// matching bracket, filled by the first attempt that can take the
-/// closed-form route and reused by the later rungs.
+/// attempts even as the segment budget grows). `known_open` is set once an
+/// attempt finds the job's matching bracket open, so later rungs skip it.
 AttemptOutput run_attempt(const SolveJob& job, JobSolver solver,
                           double tolerance, const SolveBudget& budget,
                           std::size_t hedge_horizon,
                           const core::SolverCheckpoint* resume,
                           bool want_profiles, obs::ObsContext* obs,
-                          fault::FaultContext* fault,
-                          std::optional<core::MatchingBracket>& bracket) {
+                          fault::FaultContext* fault, bool& known_open) {
   AttemptOutput out;
   out.upper = value_upper_bound(job);
   // Weighted jobs carry their weights and plain ones none (validate_job),
@@ -181,18 +179,19 @@ AttemptOutput run_attempt(const SolveJob& job, JobSolver solver,
   // leaves no checkpoint, so a later rung or a resume starts afresh.
   if ((solver == JobSolver::kDoubleOracle ||
        solver == JobSolver::kZeroSumLp) &&
-      fault == nullptr) {
+      fault == nullptr && !known_open) {
     const obs::Clock::Micros start_us = obs::Clock::now_micros();
-    if (!bracket.has_value()) bracket = core::matching_bracket(job.game);
-    if (bracket->closed) {
+    const core::MatchingBracket bracket = core::matching_bracket(job.game);
+    if (bracket.closed) {
       out.status =
           Status::make_ok(0, 0.0, obs::Clock::seconds_since(start_us));
-      out.value = out.lower = out.upper = bracket->lower;
-      capture_mixes(bracket->defender, bracket->attacker);
+      out.value = out.lower = out.upper = bracket.lower;
+      capture_mixes(bracket.defender, bracket.attacker);
       if (obs != nullptr && obs->metrics != nullptr)
         obs->metrics->counter("route.closed_form").add(1);
       return out;
     }
+    known_open = true;
   }
 
   switch (solver) {
@@ -482,8 +481,9 @@ JobResult run_ladder(const SolveJob& job, std::size_t job_index,
   AttemptOutput profiles;
   bool checkpoint_captured = false;
   // Closure is a property of the board: the ladder computes the matching
-  // bracket at most once, on its first closed-form-eligible attempt.
-  std::optional<core::MatchingBracket> bracket;
+  // bracket at most once, on its first closed-form-eligible attempt, and
+  // keeps only whether it was open.
+  bool known_open = false;
 
   for (std::size_t attempt = 1; attempt <= max_attempts; ++attempt) {
     if (attempt >= 2) {
@@ -499,7 +499,7 @@ JobResult run_ladder(const SolveJob& job, std::size_t job_index,
     try {
       r = run_attempt(work, solver, tolerance, segment, hedge_horizon,
                       resume_next ? &checkpoint : nullptr, want_profiles,
-                      obs, fctx.has_value() ? &*fctx : nullptr, bracket);
+                      obs, fctx.has_value() ? &*fctx : nullptr, known_open);
     } catch (const std::exception& e) {
       // Per-job isolation: a throwing job (hostile input past validation,
       // allocation failure, ...) degrades to a truthful status on its own
