@@ -7,8 +7,10 @@ swapped every other pair, each run as long as BENCHMARK.json's
 run_seconds), and compares the two sides per workload and
 end-to-end metric against the bounds in BENCHMARK.json:
 
-  better      the change won at least 9 of 10 pairs (that share of any
-              count) and the medians differ by more than the parent's IQR;
+  better      the change won at least 9 of the 10 pairs and the medians
+              differ by more than the parent's IQR;
+  gain not counted  as better, but a change run was not correct or the
+              change's median ok_ratio is below the parent's;
   regressed   the change's median is worse than the parent's by more than
               the metric's bound;
   unresolved  the parent's IQR over its median exceeds the bound, and not
@@ -17,7 +19,7 @@ end-to-end metric against the bounds in BENCHMARK.json:
 
 Example, writing BENCH_N.json:
   python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr N \\
-      --workload solve-heavy --pairs 10 --seed 901 --workdir /tmp/pairs
+      --workload solve-heavy --seed 901 --workdir /tmp/pairs
 """
 
 import argparse
@@ -28,6 +30,8 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Pairs per workload: a gain counts only when won on at least 9 of 10.
+PAIRS = 10
 
 
 def git(*args):
@@ -78,16 +82,17 @@ def quartiles(xs):
     return q[0], statistics.median(xs), q[2]
 
 
-def verdict(parent, change, better, bound):
-    """The comparison rule in the module docstring."""
+def verdict(parent, change, better, bound, gain_counts):
+    """The comparison rule in the module docstring. `gain_counts` is false
+    when the change failed more operations than the parent."""
     sign = 1 if better == "higher" else -1
     p_q1, p_med, p_q3 = quartiles(parent)
     _, c_med, _ = quartiles(change)
     won = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
     iqr = p_q3 - p_q1
-    if won >= 0.9 * len(parent) and abs(c_med - p_med) > iqr and \
+    if won >= 0.9 * PAIRS and abs(c_med - p_med) > iqr and \
             sign * (c_med - p_med) > 0:
-        label = "better"
+        label = "better" if gain_counts else "gain not counted"
     elif p_med != 0 and sign * (p_med - c_med) / abs(p_med) > bound:
         label = "regressed"
     elif p_med != 0 and iqr / abs(p_med) > bound and \
@@ -105,7 +110,6 @@ def main():
     parser.add_argument("--pr", required=True, help="names BENCH_<pr>.json")
     parser.add_argument("--workload", action="append", required=True,
                         help="repeatable; pairs run per workload")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True,
                         help="first seed; pair i uses seed + i")
     parser.add_argument("--workdir", required=True,
@@ -139,7 +143,7 @@ def main():
         runs = {"parent": [], "change": []}
         correct = {"parent": [], "change": []}
         seeds = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = args.seed + i
             seeds.append(seed)
             order = ["parent", "change"] if i % 2 == 0 else \
@@ -151,13 +155,18 @@ def main():
                 print(f"{workload} seed {seed} {side}: "
                       f"{values.get('throughput_rps')} rps, correct {ok}",
                       file=sys.stderr)
+        ok = {side: [r.get("ok_ratio", 0.0) for r in runs[side]]
+              for side in runs}
+        gain_counts = all(correct["change"]) and \
+            statistics.median(ok["change"]) >= statistics.median(ok["parent"])
         table = {}
         for name, m in metrics.items():
             parent = [r[name] for r in runs["parent"] if name in r]
             change = [r[name] for r in runs["change"] if name in r]
-            if len(parent) != args.pairs or len(change) != args.pairs:
+            if len(parent) != PAIRS or len(change) != PAIRS:
                 continue
-            won, label = verdict(parent, change, m["better"], m["bound"])
+            won, label = verdict(parent, change, m["better"], m["bound"],
+                                 gain_counts)
             p_q1, p_med, p_q3 = quartiles(parent)
             c_q1, c_med, c_q3 = quartiles(change)
             table[name] = {
@@ -169,7 +178,7 @@ def main():
                 "pairs_won": won, "verdict": label,
             }
         report["workloads"][workload] = {
-            "pairs": args.pairs, "seeds": seeds, "correct": correct,
+            "pairs": PAIRS, "seeds": seeds, "correct": correct,
             "metrics": table}
 
     with open(out, "w") as f:
